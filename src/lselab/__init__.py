@@ -37,9 +37,7 @@ from .precision import (
     ArithmeticContext,
     FloatFormat,
     format_params,
-    native_context,
     round_to_format,
-    simulated_context,
 )
 from .svgplot import emit_svg_scatter
 

@@ -14,6 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .oracle import lse_softmax_reference
+from .quantities import QUANTITIES
 
 __all__ = [
     "BoundReport",
@@ -27,13 +28,9 @@ __all__ = [
     "condition_report",
 ]
 
-ALGORITHM_IDS = (
-    "basic_lse",
-    "basic_softmax",
-    "alt_softmax",
-    "shifted_lse",
-    "shifted_softmax",
-    "alt_shifted_softmax",
+# Bound ids grouped by the log-sum-exp that feeds them (basic, then shifted).
+ALGORITHM_IDS = tuple(
+    q.bound_id for q in sorted(QUANTITIES, key=lambda q: q.kernel.endswith("shifted"))
 )
 
 
@@ -118,8 +115,6 @@ def bound_leading_term(
     ``y`` defaults to the oracle reference log-sum-exp of ``x``; passing a
     precomputed reference avoids re-running the oracle.
     """
-    if algorithm_id not in ALGORITHM_IDS:
-        raise ValueError(f"unknown algorithm id: {algorithm_id!r}")
     if y is None:
         y = lse_softmax_reference(x).y_ref
     n = len(x)

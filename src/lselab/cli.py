@@ -20,16 +20,22 @@ from .harness import (
     run_experiment,
     summarize,
 )
-from .kernels import lse_softmax_basic, lse_softmax_shifted, softmax_alt
+from .kernels import evaluate
+from .oracle import measurable
 from .precision import (
     NAMED_FORMATS,
     ArithmeticContext,
     format_params,
     round_to_format,
 )
+from .quantities import KERNELS, QUANTITIES
 from .svgplot import emit_svg_scatter
 
-_ALG_CHOICES = ("basic", "shifted", "alt-basic", "alt-shifted")
+# (x column, y column, file suffix, bound plot?) per --svg plot: error against
+# bound for each log-sum-exp quantity, then its kernel's softmax-sum deviation.
+_SVG_PLOTS = [(q.bnd, q.err, q.stem, True) for q in QUANTITIES if q.lse] + [
+    ("trial_id", q.sum_dev, q.sum_dev, False) for q in QUANTITIES if q.lse
+]
 
 
 def _fmt9(v: float) -> str:
@@ -43,7 +49,8 @@ def _fmt9(v: float) -> str:
 def _parse_vector(text: str) -> list[float]:
     try:
         return [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError:
+    except ValueError as exc:
+        print(f"error: --x: {exc}", file=sys.stderr)
         raise SystemExit(2)
 
 
@@ -78,21 +85,12 @@ def cmd_formats(args) -> int:
 def cmd_eval(args) -> int:
     x = _input_vector(args)
     try:
-        fmt = None if args.format == "fp64-native" else format_params(args.format)
+        fmt = format_params(args.format)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    ctx = ArithmeticContext(fmt)
-    if fmt is not None:
-        x = [round_to_format(v, fmt) for v in x]
-    if args.alg == "basic":
-        res = lse_softmax_basic(x, ctx)
-    elif args.alg == "shifted":
-        res = lse_softmax_shifted(x, ctx)
-    else:
-        from_shifted = args.alg == "alt-shifted"
-        base = lse_softmax_shifted(x, ctx) if from_shifted else lse_softmax_basic(x, ctx)
-        res = softmax_alt(x, base.y, ctx, from_shifted=from_shifted)
+    x = [round_to_format(v, fmt) for v in x]
+    res = evaluate(args.alg.replace("-", "_"), x, ArithmeticContext(fmt))
     if args.json:
         print(
             json.dumps(
@@ -159,6 +157,10 @@ def cmd_experiment(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if not measurable(fmt):
+        msg = f"{args.format} is too precise to measure against the binary64 oracle"
+        print(f"error: {msg}", file=sys.stderr)
+        return 2
     if (args.gen is None) == (args.csv is None):
         print("error: give exactly one of --gen or --csv", file=sys.stderr)
         return 2
@@ -168,43 +170,24 @@ def cmd_experiment(args) -> int:
         else:
             spec = _parse_genspec(args.gen, args.n, args.count, args.seed)
             data = generate(spec, fmt)
+        records = run_experiment(data, fmt)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    records = run_experiment(data, fmt, workers=args.threads)
     summary = summarize(records)
     try:
         emit_csv(records, f"{args.out}.csv")
         emit_csv(summary, f"{args.out}_summary.csv")
         if args.svg:
-            emit_svg_scatter(
-                records,
-                "bnd_lse_basic",
-                "err_lse_basic",
-                f"{args.out}_lse_basic.svg",
-                log_axes=args.log_axes,
-            )
-            emit_svg_scatter(
-                records,
-                "bnd_lse_shift",
-                "err_lse_shift",
-                f"{args.out}_lse_shift.svg",
-                log_axes=args.log_axes,
-            )
-            emit_svg_scatter(
-                records,
-                "trial_id",
-                "sum_dev_basic",
-                f"{args.out}_sum_dev_basic.svg",
-                reference_line=False,
-            )
-            emit_svg_scatter(
-                records,
-                "trial_id",
-                "sum_dev_shift",
-                f"{args.out}_sum_dev_shift.svg",
-                reference_line=False,
-            )
+            for x_field, y_field, suffix, bound_plot in _SVG_PLOTS:
+                emit_svg_scatter(
+                    records,
+                    x_field,
+                    y_field,
+                    f"{args.out}_{suffix}.svg",
+                    log_axes=args.log_axes and bound_plot,
+                    reference_line=bound_plot,
+                )
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -241,7 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="subcommand", required=True)
 
     pe = sub.add_parser("eval", help="evaluate one vector with one algorithm")
-    pe.add_argument("--alg", choices=_ALG_CHOICES, default="shifted")
+    algs = [k.replace("_", "-") for k in KERNELS]
+    pe.add_argument("--alg", choices=algs, default="shifted")
     pe.add_argument("--format", default="fp64")
     pe.add_argument("--x", help="comma-separated input vector")
     pe.add_argument("--json", action="store_true")
@@ -260,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     px.add_argument("--seed", type=int, default=0)
     px.add_argument("--format", default="fp16")
     px.add_argument("--out", default="experiment")
-    px.add_argument("--threads", type=int, default=None)
     px.add_argument("--svg", action="store_true", help="also write SVG scatter plots")
     px.add_argument("--log-axes", action="store_true")
     px.set_defaults(func=cmd_experiment)

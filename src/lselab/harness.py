@@ -5,16 +5,17 @@ ingest input vectors, run all four algorithms in a simulated format, measure
 scaled errors against the binary64 oracle, attach the corresponding bound
 leading factors, and tally softmax-sum deviations and overflow events.
 
-Trials use per-trial Philox substreams (counter-based, jumped by trial id),
-so serial and parallel runs produce bit-identical records.
+Generated vectors use per-trial Philox substreams (counter-based, jumped by
+trial id), and a trial's record depends only on its vector and trial id, so
+any slice of a suite reproduces the matching slice of its records.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, make_dataclass
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -23,6 +24,7 @@ from .analysis import bound_leading_term
 from .kernels import lse_softmax_basic, lse_softmax_shifted, softmax_alt
 from .oracle import lse_softmax_reference, scaled_error, scaled_error_vec
 from .precision import ArithmeticContext, FloatFormat, round_to_format
+from .quantities import KERNELS, QUANTITIES, SUM_DEV_COLUMNS
 
 __all__ = [
     "DataSpec",
@@ -40,23 +42,16 @@ __all__ = [
 
 GENERATOR_KINDS = ("uniform", "near_singular", "wide_spread", "constant")
 
-CSV_HEADER = (
-    "trial_id,n,xmax,xmin,y_ref,"
-    "err_lse_basic,bnd_lse_basic,err_lse_shift,bnd_lse_shift,"
-    "err_sm_basic,bnd_sm_basic,err_sm_shift,bnd_sm_shift,"
-    "err_sm_alt,bnd_sm_alt,err_sm_altshift,bnd_sm_altshift,"
-    "sum_dev_basic,sum_dev_shift,sum_dev_alt,sum_dev_altshift,flags"
+# Float record columns after trial_id and n: the input summary, an error and
+# bound per quantity, then each kernel's softmax-sum deviation.
+_FLOAT_COLUMNS = (
+    "xmax",
+    "xmin",
+    "y_ref",
+    *(c for q in QUANTITIES for c in (q.err, q.bnd)),
+    *SUM_DEV_COLUMNS.values(),
 )
-
-# (record error field, record bound field) per algorithm/bound pair
-ERROR_BOUND_PAIRS = (
-    ("err_lse_basic", "bnd_lse_basic"),
-    ("err_lse_shift", "bnd_lse_shift"),
-    ("err_sm_basic", "bnd_sm_basic"),
-    ("err_sm_shift", "bnd_sm_shift"),
-    ("err_sm_alt", "bnd_sm_alt"),
-    ("err_sm_altshift", "bnd_sm_altshift"),
-)
+CSV_HEADER = ",".join(("trial_id", "n", *_FLOAT_COLUMNS, "flags"))
 
 
 @dataclass(frozen=True)
@@ -94,38 +89,27 @@ class DataSpec:
                 raise ValueError("constant generator needs one parameter")
 
 
-@dataclass
-class TrialRecord:
-    trial_id: int
-    n: int
-    xmax: float
-    xmin: float
-    y_ref: float
-    err_lse_basic: float
-    bnd_lse_basic: float
-    err_lse_shift: float
-    bnd_lse_shift: float
-    err_sm_basic: float
-    bnd_sm_basic: float
-    err_sm_shift: float
-    bnd_sm_shift: float
-    err_sm_alt: float
-    bnd_sm_alt: float
-    err_sm_altshift: float
-    bnd_sm_altshift: float
-    sum_dev_basic: float
-    sum_dev_shift: float
-    sum_dev_alt: float
-    sum_dev_altshift: float
-    flags: dict[str, frozenset[str]] = field(default_factory=dict)
+def _flags_str(self) -> str:
+    parts = []
+    for alg in KERNELS:
+        fl = self.flags.get(alg)
+        if fl:
+            parts.append(f"{alg}:" + "+".join(sorted(fl)))
+    return ";".join(parts)
 
-    def flags_str(self) -> str:
-        parts = []
-        for alg in ("basic", "shifted", "alt_basic", "alt_shifted"):
-            fl = self.flags.get(alg)
-            if fl:
-                parts.append(f"{alg}:" + "+".join(sorted(fl)))
-        return ";".join(parts)
+
+# One trial's results: the CSV columns as fields, plus each kernel's flags.
+TrialRecord = make_dataclass(
+    "TrialRecord",
+    [
+        ("trial_id", int),
+        ("n", int),
+        *((c, float) for c in _FLOAT_COLUMNS),
+        ("flags", dict[str, frozenset[str]], field(default_factory=dict)),
+    ],
+    namespace={"__module__": __name__, "flags_str": _flags_str},
+)
+_float_values = attrgetter(*_FLOAT_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -203,7 +187,10 @@ def generate(spec: DataSpec, fmt: FloatFormat | None = None) -> list[list[float]
 
 
 def ingest_csv(path: str | os.PathLike) -> list[list[float]]:
-    """Read one comma-separated vector per line; empty lines are skipped."""
+    """Read one comma-separated vector per line; empty lines are skipped.
+
+    A value that is not a finite number, or a file without vectors, raises.
+    """
     vectors: list[list[float]] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -214,12 +201,18 @@ def ingest_csv(path: str | os.PathLike) -> list[list[float]]:
             for col, tok in enumerate(line.split(","), start=1):
                 tok = tok.strip()
                 try:
-                    row.append(float(tok))
+                    v = float(tok)
                 except ValueError:
+                    v = math.nan
+                if not math.isfinite(v):
                     raise ValueError(
-                        f"{path}: unparsable value {tok!r} at line {lineno}, field {col}"
-                    ) from None
+                        f"{path}: {tok!r} at line {lineno}, field {col} "
+                        "is not a finite number"
+                    )
+                row.append(v)
             vectors.append(row)
+    if not vectors:
+        raise ValueError(f"{path}: no input vectors")
     return vectors
 
 
@@ -245,6 +238,8 @@ def run_trial(trial_id: int, x: Sequence[float], fmt: FloatFormat) -> TrialRecor
     """Oracle reference plus all four simulated algorithms for one vector."""
     ctx = ArithmeticContext(fmt)
     xr = [round_to_format(v, fmt) for v in x]
+    if not all(map(math.isfinite, xr)):
+        raise ValueError(f"vector {trial_id} is not finite when rounded to {fmt.name}")
     ref = lse_softmax_reference(xr)
     u = fmt.unit_roundoff
 
@@ -252,18 +247,18 @@ def run_trial(trial_id: int, x: Sequence[float], fmt: FloatFormat) -> TrialRecor
     shifted = lse_softmax_shifted(xr, ctx)
     alt_b = softmax_alt(xr, basic.y, ctx, from_shifted=False)
     alt_s = softmax_alt(xr, shifted.y, ctx, from_shifted=True)
+    runs = {r.algorithm_id: r for r in (basic, shifted, alt_b, alt_s)}
 
-    bounds = {
-        aid: bound_leading_term(aid, xr, y=ref.y_ref).leading_factor
-        for aid in (
-            "basic_lse",
-            "shifted_lse",
-            "basic_softmax",
-            "shifted_softmax",
-            "alt_softmax",
-            "alt_shifted_softmax",
-        )
-    }
+    values = {}
+    for q in QUANTITIES:
+        res = runs[q.kernel]
+        if q.lse:
+            values[q.err] = _safe_scaled_error(res.y, ref.y_ref, fmt)
+        else:
+            values[q.err] = _safe_scaled_error_vec(res.g, ref.g_ref, fmt)
+        values[q.bnd] = bound_leading_term(q.bound_id, xr, y=ref.y_ref).leading_factor
+    for kernel, column in SUM_DEV_COLUMNS.items():
+        values[column] = _sum_deviation(runs[kernel].g, u)
 
     return TrialRecord(
         trial_id=trial_id,
@@ -271,84 +266,30 @@ def run_trial(trial_id: int, x: Sequence[float], fmt: FloatFormat) -> TrialRecor
         xmax=max(xr),
         xmin=min(xr),
         y_ref=ref.y_ref,
-        err_lse_basic=_safe_scaled_error(basic.y, ref.y_ref, fmt),
-        bnd_lse_basic=bounds["basic_lse"],
-        err_lse_shift=_safe_scaled_error(shifted.y, ref.y_ref, fmt),
-        bnd_lse_shift=bounds["shifted_lse"],
-        err_sm_basic=_safe_scaled_error_vec(basic.g, ref.g_ref, fmt),
-        bnd_sm_basic=bounds["basic_softmax"],
-        err_sm_shift=_safe_scaled_error_vec(shifted.g, ref.g_ref, fmt),
-        bnd_sm_shift=bounds["shifted_softmax"],
-        err_sm_alt=_safe_scaled_error_vec(alt_b.g, ref.g_ref, fmt),
-        bnd_sm_alt=bounds["alt_softmax"],
-        err_sm_altshift=_safe_scaled_error_vec(alt_s.g, ref.g_ref, fmt),
-        bnd_sm_altshift=bounds["alt_shifted_softmax"],
-        sum_dev_basic=_sum_deviation(basic.g, u),
-        sum_dev_shift=_sum_deviation(shifted.g, u),
-        sum_dev_alt=_sum_deviation(alt_b.g, u),
-        sum_dev_altshift=_sum_deviation(alt_s.g, u),
-        flags={
-            "basic": frozenset(basic.flags),
-            "shifted": frozenset(shifted.flags),
-            "alt_basic": frozenset(alt_b.flags),
-            "alt_shifted": frozenset(alt_s.flags),
-        },
+        **values,
+        flags={aid: frozenset(r.flags) for aid, r in runs.items()},
     )
 
 
-def _default_workers() -> int:
-    env = os.environ.get("LSE_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
-
-
 def run_experiment(
-    data: Sequence[Sequence[float]],
-    fmt: FloatFormat,
-    workers: int | None = None,
+    data: Sequence[Sequence[float]], fmt: FloatFormat
 ) -> list[TrialRecord]:
-    """Run all trials; records are ordered by trial id regardless of workers."""
+    """Run all trials; records are ordered by trial id."""
     if len(data) == 0:
         raise ValueError("experiment needs at least one input vector")
-    if workers is None:
-        workers = _default_workers()
-    if workers <= 1:
-        return [run_trial(i, x, fmt) for i, x in enumerate(data)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_trial, range(len(data)), data, [fmt] * len(data)))
+    return [run_trial(i, x, fmt) for i, x in enumerate(data)]
 
 
-_ALG_ERROR_FIELDS = {
-    "lse_basic": ("err_lse_basic", "bnd_lse_basic", "basic"),
-    "lse_shift": ("err_lse_shift", "bnd_lse_shift", "shifted"),
-    "sm_basic": ("err_sm_basic", "bnd_sm_basic", "basic"),
-    "sm_shift": ("err_sm_shift", "bnd_sm_shift", "shifted"),
-    "sm_alt": ("err_sm_alt", "bnd_sm_alt", "alt_basic"),
-    "sm_altshift": ("err_sm_altshift", "bnd_sm_altshift", "alt_shifted"),
-}
-
-_RATIO_PAIRS = (
-    ("err_lse_basic", "err_lse_shift"),
-    ("err_sm_alt", "err_sm_shift"),
-    ("err_sm_altshift", "err_sm_shift"),
+_RATIO_PAIRS = tuple(
+    (q.err, "err_" + q.ratio_to) for q in QUANTITIES if q.ratio_to is not None
 )
 
 _PATHOLOGY_FLAGS = frozenset(
     {"overflowed", "produced_inf", "produced_nan", "sum_underflowed_to_zero"}
 )
 
-_ERR_FLAG_KEY = {
-    "err_lse_basic": "basic",
-    "err_lse_shift": "shifted",
-    "err_sm_basic": "basic",
-    "err_sm_shift": "shifted",
-    "err_sm_alt": "alt_basic",
-    "err_sm_altshift": "alt_shifted",
-}
+# error column -> the kernel whose flags exclude it
+_ERR_FLAG_KEY = {q.err: q.kernel for q in QUANTITIES}
 
 
 def trial_excluded(record: TrialRecord, error_field: str) -> bool:
@@ -397,24 +338,24 @@ def summarize(records: Sequence[TrialRecord]) -> Summary:
     if len(records) == 0:
         raise ValueError("cannot summarize an empty record list")
     per_alg: dict[str, AlgStats] = {}
-    for name, (err_f, bnd_f, flag_key) in _ALG_ERROR_FIELDS.items():
+    for q in QUANTITIES:
         finite = []
         violations = 0
         overflow = 0
         for r in records:
-            err = getattr(r, err_f)
-            if "overflowed" in r.flags.get(flag_key, ()) or "produced_inf" in r.flags.get(
-                flag_key, ()
+            err = getattr(r, q.err)
+            if "overflowed" in r.flags.get(q.kernel, ()) or "produced_inf" in r.flags.get(
+                q.kernel, ()
             ):
                 overflow += 1
-            if trial_excluded(r, err_f):
+            if trial_excluded(r, q.err):
                 continue
             if math.isfinite(err):
                 finite.append(err)
-                if err > getattr(r, bnd_f):
+                if err > getattr(r, q.bnd):
                     violations += 1
-        per_alg[name] = AlgStats(
-            error_field=err_f,
+        per_alg[q.stem] = AlgStats(
+            error_field=q.err,
             finite_count=len(finite),
             max=max(finite) if finite else None,
             mean=sum(finite) / len(finite) if finite else None,
@@ -426,12 +367,6 @@ def summarize(records: Sequence[TrialRecord]) -> Summary:
     return Summary(len(records), per_alg, pairs)
 
 
-def _fmt_value(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def emit_csv(records: Iterable[TrialRecord] | Summary, path: str | os.PathLike) -> None:
     """Write trial records (or a summary) as CSV; floats round-trip exactly."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -441,39 +376,17 @@ def emit_csv(records: Iterable[TrialRecord] | Summary, path: str | os.PathLike) 
             for name, st in records.per_algorithm.items():
                 for k in ("finite_count", "max", "mean", "median",
                           "bound_violations", "overflow_count"):
-                    fh.write(f"{name}.{k},{_fmt_value(getattr(st, k))}\n")
+                    fh.write(f"{name}.{k},{getattr(st, k)}\n")
             for p in records.pairs:
                 tag = f"ratio[{p.numerator}/{p.denominator}]"
                 for k in ("count", "mean", "geometric_mean", "min", "max",
                           "identical_fraction"):
-                    fh.write(f"{tag}.{k},{_fmt_value(getattr(p, k))}\n")
+                    fh.write(f"{tag}.{k},{getattr(p, k)}\n")
             return
         fh.write(CSV_HEADER + "\n")
         for r in records:
-            fields = [
-                str(r.trial_id),
-                str(r.n),
-                repr(r.xmax),
-                repr(r.xmin),
-                repr(r.y_ref),
-                repr(r.err_lse_basic),
-                repr(r.bnd_lse_basic),
-                repr(r.err_lse_shift),
-                repr(r.bnd_lse_shift),
-                repr(r.err_sm_basic),
-                repr(r.bnd_sm_basic),
-                repr(r.err_sm_shift),
-                repr(r.bnd_sm_shift),
-                repr(r.err_sm_alt),
-                repr(r.bnd_sm_alt),
-                repr(r.err_sm_altshift),
-                repr(r.bnd_sm_altshift),
-                repr(r.sum_dev_basic),
-                repr(r.sum_dev_shift),
-                repr(r.sum_dev_alt),
-                repr(r.sum_dev_altshift),
-                r.flags_str(),
-            ]
+            fields = [str(r.trial_id), str(r.n), *map(repr, _float_values(r))]
+            fields.append(r.flags_str())
             fh.write(",".join(fields) + "\n")
 
 

@@ -2,8 +2,8 @@
 
 Four variants: the basic (unshifted) form, the max-shifted form, and the
 division-free alternative softmax fed by either log-sum-exp.  Each runs
-under an :class:`~lselab.precision.ArithmeticContext`, so the same code
-path serves native binary64 and simulated low-precision arithmetic.
+under an :class:`~lselab.precision.ArithmeticContext`; its ``fp64`` format
+is native binary64, the others simulate lower precision.
 
 Numeric pathologies never raise: infinities and NaNs propagate with IEEE
 semantics and are reported through ``EvalResult.flags``.
@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .precision import ArithmeticContext
+from .quantities import KERNELS
 
 __all__ = [
     "EvalResult",
@@ -23,6 +24,7 @@ __all__ = [
     "FLAG_PRODUCED_INF",
     "FLAG_PRODUCED_NAN",
     "FLAG_SUM_UNDERFLOWED",
+    "evaluate",
     "lse_softmax_basic",
     "lse_softmax_shifted",
     "softmax_alt",
@@ -118,3 +120,14 @@ def softmax_alt(
         flags.add(FLAG_OVERFLOWED)
     algorithm_id = "alt_shifted" if from_shifted else "alt_basic"
     return EvalResult(y, g, _result_flags(y, g, flags), algorithm_id)
+
+
+def evaluate(algorithm_id: str, x: Sequence[float], ctx: ArithmeticContext) -> EvalResult:
+    """Run one algorithm by id; ``alt_*`` first runs the log-sum-exp feeding it."""
+    if algorithm_id not in KERNELS:
+        raise ValueError(f"unknown algorithm id: {algorithm_id!r}")
+    from_shifted = algorithm_id.endswith("shifted")
+    res = lse_softmax_shifted(x, ctx) if from_shifted else lse_softmax_basic(x, ctx)
+    if algorithm_id.startswith("alt_"):
+        res = softmax_alt(x, res.y, ctx, from_shifted=from_shifted)
+    return res

@@ -94,6 +94,8 @@ def format_params(name: str) -> FloatFormat:
         )
     if emin >= emax:
         raise ValueError(f"custom format needs emin < emax, got {emin} >= {emax}")
+    if emax > 1023 or emin - t + 1 < -1074:
+        raise ValueError("custom format needs emax <= 1023 and emin - t + 1 >= -1074")
     return FloatFormat(name, t, emin, emax, subn)
 
 
@@ -117,9 +119,10 @@ def round_to_format(x: float, fmt: FloatFormat) -> float:
             if abs(x) <= half:
                 return math.copysign(0.0, x)
             return math.copysign(fmt.r_min, x)
+        # Below r_min nothing overflows; copysign keeps the sign of a zero.
         shift = (t - 1) - fmt.emin
-    else:
-        shift = (t - 1) - exp
+        return math.copysign(math.ldexp(round(math.ldexp(x, shift)), -shift), x)
+    shift = (t - 1) - exp
     k = round(math.ldexp(x, shift))
     try:
         r = math.ldexp(k, -shift)
@@ -136,24 +139,10 @@ def _ieee_div(a: float, b: float) -> float:
             return math.nan
         sign = math.copysign(1.0, a) * math.copysign(1.0, b)
         return math.copysign(math.inf, sign)
-    try:
-        return a / b
-    except OverflowError:
-        sign = math.copysign(1.0, a) * math.copysign(1.0, b)
-        return math.copysign(math.inf, sign)
-
-
-def _ieee_mul(a: float, b: float) -> float:
-    try:
-        return a * b
-    except OverflowError:
-        sign = math.copysign(1.0, a) * math.copysign(1.0, b)
-        return math.copysign(math.inf, sign)
+    return a / b  # float * and / overflow to inf; only / 0 raises
 
 
 def _ieee_exp(a: float) -> float:
-    if a != a:
-        return math.nan
     try:
         return math.exp(a)
     except OverflowError:
@@ -165,8 +154,6 @@ def _ieee_log(a: float) -> float:
         return math.nan
     if a == 0.0:
         return -math.inf
-    if math.isinf(a):
-        return math.inf
     return math.log(a)
 
 
@@ -175,8 +162,6 @@ def _ieee_log1p(a: float) -> float:
         return math.nan
     if a == -1.0:
         return -math.inf
-    if math.isinf(a):
-        return math.inf
     return math.log1p(a)
 
 
@@ -184,25 +169,18 @@ def _ieee_log1p(a: float) -> float:
 class ArithmeticContext:
     """Arithmetic used by the evaluation kernels.
 
-    ``fmt=None`` means native binary64; otherwise every operation result is
-    rounded to ``fmt`` (round-to-nearest, ties-to-even).
+    Every operation is computed in binary64 and its result rounded to ``fmt``
+    (round-to-nearest, ties-to-even).  Rounding to ``fp64`` leaves every
+    binary64 value unchanged, so that context is native binary64.
     """
 
-    fmt: FloatFormat | None = None
-
-    @property
-    def native(self) -> bool:
-        return self.fmt is None
+    fmt: FloatFormat
 
     @property
     def unit_roundoff(self) -> float:
-        if self.fmt is None:
-            return math.ldexp(1.0, -53)
         return self.fmt.unit_roundoff
 
     def round(self, x: float) -> float:
-        if self.fmt is None:
-            return x
         return round_to_format(x, self.fmt)
 
     def add(self, a: float, b: float) -> float:
@@ -212,7 +190,7 @@ class ArithmeticContext:
         return self.round(a - b)
 
     def mul(self, a: float, b: float) -> float:
-        return self.round(_ieee_mul(a, b))
+        return self.round(a * b)
 
     def div(self, a: float, b: float) -> float:
         return self.round(_ieee_div(a, b))
@@ -225,13 +203,3 @@ class ArithmeticContext:
 
     def log1p(self, a: float) -> float:
         return self.round(_ieee_log1p(a))
-
-
-def native_context() -> ArithmeticContext:
-    return ArithmeticContext(None)
-
-
-def simulated_context(fmt: FloatFormat | str) -> ArithmeticContext:
-    if isinstance(fmt, str):
-        fmt = format_params(fmt)
-    return ArithmeticContext(fmt)

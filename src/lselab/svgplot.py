@@ -37,10 +37,7 @@ def emit_svg_scatter(
     reference_line: bool = True,
 ) -> None:
     """Scatter ``y_field`` against ``x_field``; non-finite points are skipped."""
-    if not hasattr(TrialRecord, "__dataclass_fields__") or (
-        x_field not in TrialRecord.__dataclass_fields__
-        or y_field not in TrialRecord.__dataclass_fields__
-    ):
+    if not {x_field, y_field} <= TrialRecord.__dataclass_fields__.keys():
         raise ValueError(f"unknown record fields: {x_field!r}, {y_field!r}")
     pts = []
     for r in records:

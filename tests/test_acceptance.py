@@ -1,5 +1,6 @@
 """Acceptance suite: one test per criterion, one pass/fail line each."""
 
+import dataclasses
 import math
 
 import mpmath as mp
@@ -17,15 +18,15 @@ from lselab.harness import (
     run_experiment,
     summarize,
     trial_excluded,
-    ERROR_BOUND_PAIRS,
 )
 from lselab.kernels import lse_softmax_basic, lse_softmax_shifted
 from lselab.oracle import lse_softmax_reference
 from lselab.precision import ArithmeticContext, format_params, round_to_format
+from lselab.quantities import QUANTITIES
 
 FP16 = format_params("fp16")
 BF16 = format_params("bfloat16")
-NATIVE = ArithmeticContext(None)
+NATIVE = ArithmeticContext(format_params("fp64"))
 
 
 @pytest.fixture(scope="module")
@@ -81,13 +82,13 @@ def test_criterion_02_bound_conformance(main_suite):
     violations = 0
     checked = 0
     for r in records:
-        for err_f, bnd_f in ERROR_BOUND_PAIRS:
-            if trial_excluded(r, err_f):
+        for q in QUANTITIES:
+            if trial_excluded(r, q.err):
                 continue
-            err = getattr(r, err_f)
+            err = getattr(r, q.err)
             assert math.isfinite(err)
             checked += 1
-            if err > getattr(r, bnd_f):
+            if err > getattr(r, q.bnd):
                 violations += 1
     ok = violations == 0 and checked > 0
     report(2, ok)
@@ -241,13 +242,19 @@ def test_criterion_12_csv_roundtrip_and_determinism(tmp_path):
     data = generate(spec)
     vec_path = tmp_path / "vectors.csv"
     emit_vectors_csv(data, vec_path)
-    records1 = run_experiment(data, FP16, workers=1)
-    records2 = run_experiment(ingest_csv(vec_path), FP16, workers=1)
+    records1 = run_experiment(data, FP16)
+    records2 = run_experiment(ingest_csv(vec_path), FP16)
     ok = records1 == records2
 
-    p1 = tmp_path / "run_t1.csv"
-    p2 = tmp_path / "run_t4.csv"
-    emit_csv(run_experiment(data, FP16, workers=1), p1)
-    emit_csv(run_experiment(data, FP16, workers=4), p2)
+    # trials are independent: a suffix of the input gives the same records
+    # as the matching suffix of the full run, trial ids aside
+    k = 37
+    tail = run_experiment(data[k:], FP16)
+    ok &= tail == [dataclasses.replace(r, trial_id=r.trial_id - k) for r in records1[k:]]
+
+    p1 = tmp_path / "run1.csv"
+    p2 = tmp_path / "run2.csv"
+    emit_csv(run_experiment(data, FP16), p1)
+    emit_csv(run_experiment(data, FP16), p2)
     ok &= p1.read_bytes() == p2.read_bytes()
     report(12, ok)

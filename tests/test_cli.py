@@ -120,3 +120,36 @@ class TestExperiment:
             main(["experiment", "--gen", "uniform:zz", "--format", "fp16",
                   "--out", str(tmp_path / "x")])
         assert exc.value.code == 2
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv,csv_text", [
+    pytest.param(["eval", "--x", "1,abc"], None, id="eval-unparsable-vector"),
+    pytest.param(["experiment", "--format", "fp16"], "1.0,nan\n", id="csv-nan"),
+    pytest.param(["experiment", "--format", "fp16"], "", id="csv-empty"),
+    pytest.param(["experiment", "--format", "fp16"], "1e6,2\n", id="csv-overflows-format"),
+    pytest.param(["eval", "--x", "1,2", "--format",
+                  "custom:t=11,emin=-14,emax=2000,subnormals=1"], None,
+                 id="custom-format-beyond-binary64"),
+    pytest.param(["experiment", "--gen", "uniform:-20,20", "--n", "10",
+                  "--count", "3", "--format", "fp64"], None,
+                 id="experiment-format-not-measurable"),
+])
+def test_bad_input_exits_2_with_one_line(argv, csv_text, tmp_path, capsys):
+    argv = [*argv, "--out", str(tmp_path / "run")] if argv[0] == "experiment" else argv
+    if csv_text is not None:
+        path = tmp_path / "in.csv"
+        path.write_text(csv_text)
+        argv += ["--csv", str(path)]
+    assert _exit_code(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    assert not list(tmp_path.glob("run*"))

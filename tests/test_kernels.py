@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 from lselab.kernels import (
     FLAG_OVERFLOWED,
     FLAG_SUM_UNDERFLOWED,
+    evaluate,
     lse_softmax_basic,
     lse_softmax_shifted,
     softmax_alt,
 )
 from lselab.precision import ArithmeticContext, format_params, round_to_format
 
-NATIVE = ArithmeticContext(None)
+NATIVE = ArithmeticContext(format_params("fp64"))
 
 # frozen 60-digit mpmath evaluations of log(sum(exp)) and exp(x)/sum(exp)
 LSE_1_M1 = 1.1269280110429725
@@ -168,6 +169,26 @@ class TestSoftmaxAlt:
     def test_nan_lse_flags(self):
         r = softmax_alt([1.0], math.nan, NATIVE)
         assert "produced_nan" in r.flags
+
+
+class TestEvaluate:
+    def test_runs_each_algorithm_by_id(self):
+        ctx = ArithmeticContext(format_params("fp16"))
+        x = [round_to_format(v, ctx.fmt) for v in (3.3, -1.7, 0.4)]
+        basic = lse_softmax_basic(x, ctx)
+        shifted = lse_softmax_shifted(x, ctx)
+        expected = {
+            "basic": basic,
+            "shifted": shifted,
+            "alt_basic": softmax_alt(x, basic.y, ctx),
+            "alt_shifted": softmax_alt(x, shifted.y, ctx, from_shifted=True),
+        }
+        for aid, want in expected.items():
+            assert evaluate(aid, x, ctx) == want
+
+    def test_unknown_id_rejected(self):
+        with pytest.raises(ValueError):
+            evaluate("fancy", [1.0], NATIVE)
 
 
 class TestSoftmaxSumDeviation:

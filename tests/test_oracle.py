@@ -55,7 +55,7 @@ class TestReference:
 
     def test_matches_naive_binary64_on_mild_inputs(self):
         rng = np.random.default_rng(78)
-        ctx = ArithmeticContext(None)
+        ctx = ArithmeticContext(format_params("fp64"))
         for _ in range(100):
             n = int(rng.integers(1, 7))
             x = rng.uniform(-2, 2, n).tolist()

@@ -1,7 +1,9 @@
 import math
+import operator
+import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lselab.precision import (
@@ -23,6 +25,10 @@ def bf16():
 
 
 from conftest import match_3sf
+
+
+def _bits(v: float) -> bytes:
+    return struct.pack("<d", v)
 
 
 def sig3(v):
@@ -84,6 +90,8 @@ class TestFormatParams:
             "custom:t=1,emin=-5,emax=5,subnormals=1",
             "custom:t=30,emin=-5,emax=5,subnormals=1",
             "custom:t=11,emin=10,emax=5,subnormals=0",
+            "custom:t=11,emin=-14,emax=2000,subnormals=1",
+            "custom:t=11,emin=-1070,emax=5,subnormals=1",
             "custom:nonsense",
         ],
     )
@@ -173,7 +181,7 @@ class TestArithmeticContext:
         assert ctx.mul(3.0e4, 4.0) == math.inf
 
     def test_exact_division(self, fp16):
-        for ctx in (ArithmeticContext(fp16), ArithmeticContext(None)):
+        for ctx in (ArithmeticContext(fp16), ArithmeticContext(format_params("fp64"))):
             assert ctx.div(1.0, 1.0) == 1.0
 
     def test_division_by_zero(self, fp16):
@@ -188,7 +196,7 @@ class TestArithmeticContext:
         assert ctx.exp(11.0) < math.inf
 
     def test_unary_trivia(self, fp16):
-        for ctx in (ArithmeticContext(fp16), ArithmeticContext(None)):
+        for ctx in (ArithmeticContext(fp16), ArithmeticContext(format_params("fp64"))):
             assert ctx.exp(0.0) == 1.0
             assert ctx.log1p(0.0) == 0.0
             assert ctx.log(1.0) == 0.0
@@ -223,21 +231,62 @@ class TestArithmeticContext:
                 assert abs(ctx.div(a, b) - a / b) <= u * abs(a / b)
 
     def test_fp64_simulation_matches_native(self):
+        # the fp64 context is Python's binary64 arithmetic, bit for bit
         import numpy as np
 
         sim = ArithmeticContext(format_params("fp64"))
-        nat = ArithmeticContext(None)
         rng = np.random.default_rng(3)
-        for a, b in rng.uniform(-1e6, 1e6, (300, 2)):
+        tiny = 2.0**-1074
+        pairs = [
+            *rng.uniform(-1e6, 1e6, (300, 2)),
+            *(rng.uniform(-1.0, 1.0, (300, 2)) * 2.0**-1020),  # subnormal results
+            (tiny, 3.0), (-tiny, 0.5), (5 * tiny, -2 * tiny), (2.0**-1022, -tiny),
+            (1e308, 1e-10), (-0.0, 0.0), (1e-200, -1e-200),
+        ]
+        for a, b in pairs:
             a, b = float(a), float(b)
-            assert sim.add(a, b) == nat.add(a, b)
-            assert sim.sub(a, b) == nat.sub(a, b)
-            assert sim.mul(a, b) == nat.mul(a, b)
-            assert sim.div(a, b) == nat.div(a, b)
+            ops = [(sim.add, a + b), (sim.sub, a - b), (sim.mul, a * b)]
+            if b != 0.0:
+                ops.append((sim.div, a / b))
+            for op, native in ops:
+                assert _bits(op(a, b)) == _bits(native)
+
+    @pytest.mark.parametrize("name,np_type,width", [
+        ("fp16", "float16", 16),
+        ("fp32", "float32", 32),
+    ])
+    def test_binops_match_numpy_bitwise(self, name, np_type, width):
+        # numpy's float16/float32 arithmetic is correctly rounded IEEE, so the
+        # simulated add/sub/mul/div must give the same bits, signed zeros too
+        import numpy as np
+
+        ctx = ArithmeticContext(format_params(name))
+        cast = getattr(np, np_type)
+        ops = (
+            (ctx.add, operator.add),
+            (ctx.sub, operator.sub),
+            (ctx.mul, operator.mul),
+            (ctx.div, operator.truediv),
+        )
+
+        @given(st.floats(width=width), st.floats(width=width))
+        @example(-1e-4, 1e-4)
+        @settings(max_examples=400, deadline=None)
+        def check(a, b):
+            a = float(cast(a))
+            b = float(cast(b))
+            with np.errstate(all="ignore"):
+                for ours, theirs in ops:
+                    want = float(theirs(cast(a), cast(b)))
+                    got = ours(a, b)
+                    assert _bits(got) == _bits(want) or (got != got and want != want), (
+                        ours.__name__, a, b, got, want)
+
+        check()
 
     def test_unit_roundoff_property(self, fp16):
         assert ArithmeticContext(fp16).unit_roundoff == 2.0**-11
-        assert ArithmeticContext(None).unit_roundoff == 2.0**-53
+        assert ArithmeticContext(format_params("fp64")).unit_roundoff == 2.0**-53
 
     def test_format_immutable(self, fp16):
         with pytest.raises(Exception):
