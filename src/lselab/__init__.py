@@ -19,9 +19,11 @@ from .harness import (
     generate,
     ingest_csv,
     run_experiment,
+    run_trial,
     summarize,
 )
 from .kernels import (
+    BatchResult,
     EvalResult,
     lse_softmax_basic,
     lse_softmax_shifted,
@@ -36,6 +38,7 @@ from .oracle import (
 from .precision import (
     ArithmeticContext,
     FloatFormat,
+    chop,
     format_params,
     round_to_format,
 )

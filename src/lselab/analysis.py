@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .oracle import lse_softmax_reference
+from .oracle import Reference, lse_softmax_reference
 from .quantities import QUANTITIES
 
 __all__ = [
@@ -36,6 +36,9 @@ ALGORITHM_IDS = tuple(
 
 @dataclass(frozen=True)
 class BoundReport:
+    """Bound factor and its inputs; for a batch, every field after
+    ``algorithm_id`` except ``n`` is an array with one entry per row."""
+
     algorithm_id: str
     leading_factor: float
     n: int
@@ -53,28 +56,31 @@ class ConditionReport:
     jacobian: np.ndarray
 
 
-def cond_lse(x: Sequence[float]) -> float:
-    """Condition number of log-sum-exp in the infinity norm; +inf when y = 0."""
-    y = lse_softmax_reference(x).y_ref
+def cond_lse(x: Sequence[float], ref: Reference | None = None) -> float:
+    """Condition number of log-sum-exp in the infinity norm; +inf when y = 0.
+
+    ``ref`` is the oracle reference of ``x``, computed when not given.
+    """
+    y = (ref or lse_softmax_reference(x)).y_ref
     xnorm = max(abs(v) for v in x)
     if y == 0.0:
         return math.inf
     return xnorm / abs(y)
 
 
-def softmax_jacobian(x: Sequence[float]) -> np.ndarray:
+def softmax_jacobian(x: Sequence[float], ref: Reference | None = None) -> np.ndarray:
     """Jacobian of softmax: diag(g) - g g^T, built from oracle-grade g."""
-    g = np.array(lse_softmax_reference(x).g_ref)
+    g = np.array((ref or lse_softmax_reference(x)).g_ref)
     return np.diag(g) - np.outer(g, g)
 
 
-def cond_softmax(x: Sequence[float]) -> tuple[float, float]:
+def cond_softmax(x: Sequence[float], ref: Reference | None = None) -> tuple[float, float]:
     """(exact, upper) infinity-norm condition numbers of softmax.
 
     exact = ||G||_inf * ||x||_inf / ||g||_inf; upper = n * ||x||_inf.
     """
-    ref = lse_softmax_reference(x)
-    G = softmax_jacobian(x)
+    ref = ref or lse_softmax_reference(x)
+    G = softmax_jacobian(x, ref)
     xnorm = max(abs(v) for v in x)
     gnorm = max(abs(v) for v in ref.g_ref)
     norm_G = float(np.max(np.sum(np.abs(G), axis=1)))
@@ -90,41 +96,62 @@ def y_range(x: Sequence[float]) -> tuple[float, float]:
 
 
 def _leading_factor(
-    algorithm_id: str, n: int, y: float, x_max: float, x_min: float, max_dev: float
-) -> float:
-    if algorithm_id == "basic_lse":
-        return math.inf if y == 0.0 else 1.0 + (n + 1) / abs(y)
-    if algorithm_id == "basic_softmax":
-        return float(n + 3)
-    if algorithm_id == "alt_softmax":
-        return abs(y) + max_dev + n + 2
-    if algorithm_id == "shifted_lse":
-        return math.inf if y == 0.0 else abs(y + n - x_min) / abs(y)
-    if algorithm_id == "shifted_softmax":
-        return n + 2 + 2.0 * (x_max - x_min)
-    if algorithm_id == "alt_shifted_softmax":
-        return 1.0 + max_dev + abs(y + n - x_min)
+    algorithm_id: str,
+    n: int,
+    y: np.ndarray,
+    x_max: np.ndarray,
+    x_min: np.ndarray,
+    max_dev: np.ndarray,
+) -> np.ndarray:
+    """The factor of each vector of length ``n``; the other arguments are
+    columns with one entry per vector.
+
+    y = 0 makes both log-sum-exp factors +inf through the division: the
+    shifted numerator is at least n because x_min <= x_max <= y.
+    """
+    with np.errstate(divide="ignore"):
+        if algorithm_id == "basic_lse":
+            return 1.0 + (n + 1) / np.abs(y)
+        if algorithm_id == "basic_softmax":
+            return np.full_like(y, n + 3)
+        if algorithm_id == "alt_softmax":
+            return np.abs(y) + max_dev + n + 2
+        if algorithm_id == "shifted_lse":
+            return np.abs(y + n - x_min) / np.abs(y)
+        if algorithm_id == "shifted_softmax":
+            return n + 2 + 2.0 * (x_max - x_min)
+        if algorithm_id == "alt_shifted_softmax":
+            return 1.0 + max_dev + np.abs(y + n - x_min)
     raise ValueError(f"unknown algorithm id: {algorithm_id!r}")
 
 
 def bound_leading_term(
-    algorithm_id: str, x: Sequence[float], y: float | None = None
+    algorithm_id: str, x: Sequence[float] | np.ndarray, y: float | np.ndarray | None = None
 ) -> BoundReport:
     """Leading error-bound factor (coefficient of u) for one algorithm.
 
-    ``y`` defaults to the oracle reference log-sum-exp of ``x``; passing a
-    precomputed reference avoids re-running the oracle.
+    ``x`` is one vector or a (rows x n) batch.  For a batch, ``y`` and the
+    report's ``leading_factor``, ``y``, ``x_max``, ``x_min`` and ``max_dev``
+    are arrays with one entry per row.  ``y`` defaults to the oracle
+    reference log-sum-exp of ``x``; passing a precomputed reference avoids
+    re-running the oracle.
     """
+    xs = np.asarray(x, dtype=np.float64)
+    rows = xs.reshape(-1, xs.shape[-1])
     if y is None:
-        y = lse_softmax_reference(x).y_ref
-    n = len(x)
-    x_max = max(x)
-    x_min = min(x)
-    max_dev = max(abs(xj - y) for xj in x)
-    factor = _leading_factor(algorithm_id, n, y, x_max, x_min, max_dev)
-    return BoundReport(algorithm_id, factor, n, y, x_max, x_min, max_dev)
+        y = [lse_softmax_reference(row).y_ref for row in rows.tolist()]
+    y = np.asarray(y, dtype=np.float64).reshape(-1)
+    n = rows.shape[1]
+    x_max = rows.max(axis=1)
+    x_min = rows.min(axis=1)
+    max_dev = np.abs(rows - y[:, None]).max(axis=1)
+    fields = (_leading_factor(algorithm_id, n, y, x_max, x_min, max_dev), y, x_max, x_min, max_dev)
+    if xs.ndim == 1:
+        fields = [float(f[0]) for f in fields]
+    return BoundReport(algorithm_id, fields[0], n, *fields[1:])
 
 
 def condition_report(x: Sequence[float]) -> ConditionReport:
-    exact, upper = cond_softmax(x)
-    return ConditionReport(cond_lse(x), exact, upper, softmax_jacobian(x))
+    ref = lse_softmax_reference(x)
+    exact, upper = cond_softmax(x, ref)
+    return ConditionReport(cond_lse(x, ref), exact, upper, softmax_jacobian(x, ref))

@@ -7,6 +7,7 @@ I/O failure.  Numeric flags on results do not change the exit code.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -21,13 +22,8 @@ from .harness import (
     summarize,
 )
 from .kernels import evaluate
-from .oracle import measurable
-from .precision import (
-    NAMED_FORMATS,
-    ArithmeticContext,
-    format_params,
-    round_to_format,
-)
+from .oracle import lse_softmax_reference, measurable
+from .precision import NAMED_FORMATS, ArithmeticContext, chop, format_params
 from .quantities import KERNELS, QUANTITIES
 from .svgplot import emit_svg_scatter
 
@@ -89,7 +85,10 @@ def cmd_eval(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    x = [round_to_format(v, fmt) for v in x]
+    x = chop(x, fmt)
+    if not all(map(math.isfinite, x.tolist())):
+        print(f"error: input vector is not finite when rounded to {args.format}", file=sys.stderr)
+        return 2
     res = evaluate(args.alg.replace("-", "_"), x, ArithmeticContext(fmt))
     if args.json:
         print(
@@ -114,10 +113,13 @@ def cmd_eval(args) -> int:
 
 def cmd_analyze(args) -> int:
     x = _input_vector(args)
-    cf = cond_lse(x)
-    cg_exact, cg_upper = cond_softmax(x)
+    ref = lse_softmax_reference(x)
+    cf = cond_lse(x, ref)
+    cg_exact, cg_upper = cond_softmax(x, ref)
     lo, hi = y_range(x)
-    bounds = {aid: bound_leading_term(aid, x).leading_factor for aid in ALGORITHM_IDS}
+    bounds = {
+        aid: bound_leading_term(aid, x, y=ref.y_ref).leading_factor for aid in ALGORITHM_IDS
+    }
     if args.json:
         print(
             json.dumps(
@@ -216,6 +218,7 @@ def cmd_experiment(args) -> int:
     return 0
 
 
+@functools.cache  # built on first use, then reused by every main() call
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="lselab",

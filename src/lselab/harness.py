@@ -8,12 +8,17 @@ leading factors, and tally softmax-sum deviations and overflow events.
 Generated vectors use per-trial Philox substreams (counter-based, jumped by
 trial id), and a trial's record depends only on its vector and trial id, so
 any slice of a suite reproduces the matching slice of its records.
+
+Trials run as batches: the vectors of one length form a (trials x n) array
+that the kernels take whole, and each record column is computed for the
+batch at once.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import statistics
 from dataclasses import dataclass, field, make_dataclass
 from operator import attrgetter
 from typing import Iterable, Sequence
@@ -22,8 +27,8 @@ import numpy as np
 
 from .analysis import bound_leading_term
 from .kernels import lse_softmax_basic, lse_softmax_shifted, softmax_alt
-from .oracle import lse_softmax_reference, scaled_error, scaled_error_vec
-from .precision import ArithmeticContext, FloatFormat, round_to_format
+from .oracle import lse_softmax_reference, scaled_errors, scaled_errors_vec
+from .precision import ArithmeticContext, FloatFormat, chop
 from .quantities import KERNELS, QUANTITIES, SUM_DEV_COLUMNS
 
 __all__ = [
@@ -34,6 +39,7 @@ __all__ = [
     "generate",
     "ingest_csv",
     "run_experiment",
+    "run_trial",
     "summarize",
     "emit_csv",
     "emit_vectors_csv",
@@ -152,7 +158,7 @@ def _trial_rng(seed: int, trial_id: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed).jumped(trial_id))
 
 
-def _generate_one(spec: DataSpec, trial_id: int) -> list[float]:
+def _generate_one(spec: DataSpec, trial_id: int) -> np.ndarray:
     rng = _trial_rng(spec.seed, trial_id)
     n = spec.n
     if spec.kind == "uniform":
@@ -175,15 +181,15 @@ def _generate_one(spec: DataSpec, trial_id: int) -> list[float]:
     else:  # constant
         (c,) = spec.params
         v = np.full(n, float(c))
-    return [float(x) for x in v]
+    return v
 
 
 def generate(spec: DataSpec, fmt: FloatFormat | None = None) -> list[list[float]]:
     """Seed-reproducible input vectors, pre-rounded to ``fmt`` when given."""
-    vectors = [_generate_one(spec, i) for i in range(spec.count)]
+    vectors = np.array([_generate_one(spec, i) for i in range(spec.count)])
     if fmt is not None:
-        vectors = [[round_to_format(v, fmt) for v in x] for x in vectors]
-    return vectors
+        vectors = chop(vectors, fmt)
+    return vectors.tolist()
 
 
 def ingest_csv(path: str | os.PathLike) -> list[list[float]]:
@@ -216,68 +222,85 @@ def ingest_csv(path: str | os.PathLike) -> list[list[float]]:
     return vectors
 
 
-def _sum_deviation(g: Sequence[float], u: float) -> float:
-    if any(not math.isfinite(v) for v in g):
-        return math.inf
-    return abs(math.fsum(g) - 1.0) / u
+def _sum_deviations(g: np.ndarray, u: float) -> np.ndarray:
+    """|sum(g) - 1| / u per row, with an exact sum; +inf for a non-finite row."""
+    finite = np.isfinite(g).all(axis=1)
+    sums = [math.fsum(row) if ok else math.inf for row, ok in zip(g.tolist(), finite.tolist())]
+    return np.abs(np.array(sums) - 1.0) / u
 
 
-def _safe_scaled_error(computed: float, reference: float, fmt: FloatFormat) -> float:
-    if reference == 0.0:
-        return math.inf
-    return scaled_error(computed, reference, fmt)
-
-
-def _safe_scaled_error_vec(computed, reference, fmt: FloatFormat) -> float:
-    if max(abs(r) for r in reference) == 0.0:
-        return math.inf
-    return scaled_error_vec(computed, reference, fmt)
-
-
-def run_trial(trial_id: int, x: Sequence[float], fmt: FloatFormat) -> TrialRecord:
-    """Oracle reference plus all four simulated algorithms for one vector."""
-    ctx = ArithmeticContext(fmt)
-    xr = [round_to_format(v, fmt) for v in x]
-    if not all(map(math.isfinite, xr)):
-        raise ValueError(f"vector {trial_id} is not finite when rounded to {fmt.name}")
-    ref = lse_softmax_reference(xr)
+def _run_batch(trial_ids: list[int], xs: np.ndarray, fmt: FloatFormat) -> list[TrialRecord]:
+    """Oracle reference plus all four simulated algorithms for a batch of
+    equal-length vectors, already rounded to ``fmt``."""
+    refs = [lse_softmax_reference(x) for x in xs.tolist()]
+    y_ref = np.array([r.y_ref for r in refs])
+    g_ref = np.array([r.g_ref for r in refs])
     u = fmt.unit_roundoff
 
-    basic = lse_softmax_basic(xr, ctx)
-    shifted = lse_softmax_shifted(xr, ctx)
-    alt_b = softmax_alt(xr, basic.y, ctx, from_shifted=False)
-    alt_s = softmax_alt(xr, shifted.y, ctx, from_shifted=True)
+    ctx = ArithmeticContext(fmt)
+    basic = lse_softmax_basic(xs, ctx)
+    shifted = lse_softmax_shifted(xs, ctx)
+    alt_b = softmax_alt(xs, basic.y, ctx, from_shifted=False)
+    alt_s = softmax_alt(xs, shifted.y, ctx, from_shifted=True)
     runs = {r.algorithm_id: r for r in (basic, shifted, alt_b, alt_s)}
 
-    values = {}
+    # the first index of each extreme, so a signed zero comes out as max() gives it
+    rows = np.arange(len(xs))
+    columns = {
+        "xmax": xs[rows, xs.argmax(axis=1)],
+        "xmin": xs[rows, xs.argmin(axis=1)],
+        "y_ref": y_ref,
+    }
     for q in QUANTITIES:
         res = runs[q.kernel]
         if q.lse:
-            values[q.err] = _safe_scaled_error(res.y, ref.y_ref, fmt)
+            columns[q.err] = scaled_errors(res.y, y_ref, fmt)
         else:
-            values[q.err] = _safe_scaled_error_vec(res.g, ref.g_ref, fmt)
-        values[q.bnd] = bound_leading_term(q.bound_id, xr, y=ref.y_ref).leading_factor
+            columns[q.err] = scaled_errors_vec(res.g, g_ref, fmt)
+        columns[q.bnd] = bound_leading_term(q.bound_id, xs, y_ref).leading_factor
     for kernel, column in SUM_DEV_COLUMNS.items():
-        values[column] = _sum_deviation(runs[kernel].g, u)
+        columns[column] = _sum_deviations(runs[kernel].g, u)
 
-    return TrialRecord(
-        trial_id=trial_id,
-        n=len(xr),
-        xmax=max(xr),
-        xmin=min(xr),
-        y_ref=ref.y_ref,
-        **values,
-        flags={aid: frozenset(r.flags) for aid, r in runs.items()},
-    )
+    values = zip(*(np.asarray(columns[name]).tolist() for name in _FLOAT_COLUMNS))
+    flags = [dict(zip(runs, fl)) for fl in zip(*(r.flag_sets() for r in runs.values()))]
+    n = xs.shape[1]
+    return [TrialRecord(tid, n, *v, fl) for tid, v, fl in zip(trial_ids, values, flags)]
+
+
+def run_trial(trial_id: int, x: Sequence[float], fmt: FloatFormat) -> TrialRecord:
+    """The record ``run_experiment`` gives vector ``x`` as trial ``trial_id``."""
+    xs = chop(np.array([x], dtype=np.float64), fmt)
+    if not np.isfinite(xs).all():
+        raise ValueError(f"vector {trial_id} is not finite when rounded to {fmt.name}")
+    return _run_batch([trial_id], xs, fmt)[0]
 
 
 def run_experiment(
     data: Sequence[Sequence[float]], fmt: FloatFormat
 ) -> list[TrialRecord]:
-    """Run all trials; records are ordered by trial id."""
+    """Run all trials; records are ordered by trial id.
+
+    Vectors of one length run as one batch; a vector's record does not
+    depend on which others share its batch.
+    """
     if len(data) == 0:
         raise ValueError("experiment needs at least one input vector")
-    return [run_trial(i, x, fmt) for i, x in enumerate(data)]
+    groups: dict[int, list[int]] = {}
+    for i, x in enumerate(data):
+        groups.setdefault(len(x), []).append(i)
+    batches = []
+    bad = []
+    for ids in groups.values():
+        xs = chop(np.array([data[i] for i in ids], dtype=np.float64), fmt)
+        bad += [ids[r] for r in np.flatnonzero(~np.isfinite(xs).all(axis=1)).tolist()]
+        batches.append((ids, xs))
+    if bad:
+        raise ValueError(f"vector {min(bad)} is not finite when rounded to {fmt.name}")
+    records: list[TrialRecord] = [None] * len(data)
+    for ids, xs in batches:
+        for rec in _run_batch(ids, xs, fmt):
+            records[rec.trial_id] = rec
+    return records
 
 
 _RATIO_PAIRS = tuple(
@@ -359,7 +382,7 @@ def summarize(records: Sequence[TrialRecord]) -> Summary:
             finite_count=len(finite),
             max=max(finite) if finite else None,
             mean=sum(finite) / len(finite) if finite else None,
-            median=float(np.median(finite)) if finite else None,
+            median=statistics.median(finite) if finite else None,
             bound_violations=violations,
             overflow_count=overflow,
         )

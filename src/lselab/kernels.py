@@ -5,20 +5,29 @@ division-free alternative softmax fed by either log-sum-exp.  Each runs
 under an :class:`~lselab.precision.ArithmeticContext`; its ``fp64`` format
 is native binary64, the others simulate lower precision.
 
+Each kernel takes one vector or a batch of equal-length vectors (a 2-D
+array, one vector per row).  Elementwise steps run on the whole batch; each
+row's sum is accumulated strictly left to right, one rounded addition at a
+time, as the paper's error analysis assumes.  A batch gives a
+:class:`BatchResult`, one vector an :class:`EvalResult`.
+
 Numeric pathologies never raise: infinities and NaNs propagate with IEEE
-semantics and are reported through ``EvalResult.flags``.
+semantics and are reported through the result's flags.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Sequence
 
-from .precision import ArithmeticContext
+import numpy as np
+
+from .precision import ArithmeticContext, FloatFormat, round_to_format
 from .quantities import KERNELS
 
 __all__ = [
+    "BatchResult",
     "EvalResult",
     "FLAG_OVERFLOWED",
     "FLAG_PRODUCED_INF",
@@ -46,83 +55,107 @@ class EvalResult:
     algorithm_id: str = "basic"
 
 
-def _check_vector(x: Sequence[float]) -> None:
-    if len(x) == 0:
+@dataclass
+class BatchResult:
+    """Results for a batch: ``y`` per row, ``g`` one row per vector, and
+    each flag the kernel can raise as a boolean column."""
+
+    y: np.ndarray
+    g: np.ndarray
+    flags: dict[str, np.ndarray]
+    algorithm_id: str
+
+    def flag_sets(self) -> list[frozenset[str]]:
+        """The raised flags of each row."""
+        names = list(self.flags)
+        columns = (col.tolist() for col in self.flags.values())
+        return [frozenset(compress(names, raised)) for raised in zip(*columns)]
+
+    def row(self, i: int) -> EvalResult:
+        flags = {name for name, col in self.flags.items() if col[i]}
+        return EvalResult(float(self.y[i]), self.g[i].tolist(), flags, self.algorithm_id)
+
+
+def _batch(x) -> tuple[np.ndarray, bool]:
+    """The input as a 2-D float64 batch, and whether it was a single vector."""
+    xs = np.asarray(x, dtype=np.float64)
+    if xs.ndim not in (1, 2) or xs.shape[-1] == 0:
         raise ValueError("input vector must have length >= 1")
-    for v in x:
-        if not math.isfinite(v):
-            raise ValueError("input vector entries must be finite")
+    if not np.isfinite(xs).all():
+        raise ValueError("input vector entries must be finite")
+    return xs.reshape(-1, xs.shape[-1]), xs.ndim == 1
 
 
-def _result_flags(y: float, g: Sequence[float], flags: set[str]) -> set[str]:
-    values = [y, *g]
-    if any(math.isinf(v) for v in values):
-        flags.add(FLAG_PRODUCED_INF)
-    if any(v != v for v in values):
-        flags.add(FLAG_PRODUCED_NAN)
-    return flags
+def _result(
+    single: bool, y: np.ndarray, g: np.ndarray, flags: dict[str, np.ndarray], algorithm_id: str
+) -> BatchResult | EvalResult:
+    flags[FLAG_PRODUCED_INF] = np.isinf(y) | np.isinf(g).any(axis=1)
+    flags[FLAG_PRODUCED_NAN] = np.isnan(y) | np.isnan(g).any(axis=1)
+    res = BatchResult(y, g, flags, algorithm_id)
+    return res.row(0) if single else res
 
 
-def lse_softmax_basic(x: Sequence[float], ctx: ArithmeticContext) -> EvalResult:
+def _sum_left_to_right(s: float, terms: Sequence[float], fmt: FloatFormat) -> float:
+    for w in terms:
+        s = round_to_format(s + w, fmt)
+    return s
+
+
+def lse_softmax_basic(x, ctx: ArithmeticContext) -> BatchResult | EvalResult:
     """Unshifted evaluation: exponentiate, sum left to right, log, divide."""
-    _check_vector(x)
-    flags: set[str] = set()
-    w = [ctx.exp(xi) for xi in x]
-    s = w[0]
-    for wi in w[1:]:
-        s = ctx.add(s, wi)
-    if any(math.isinf(wi) for wi in w) or math.isinf(s):
-        flags.add(FLAG_OVERFLOWED)
-    if s == 0.0:
-        flags.add(FLAG_SUM_UNDERFLOWED)
+    xs, single = _batch(x)
+    w = ctx.exp(xs)
+    s = np.array([_sum_left_to_right(row[0], row[1:], ctx.fmt) for row in w.tolist()])
+    flags = {
+        FLAG_OVERFLOWED: np.isinf(w).any(axis=1) | np.isinf(s),
+        FLAG_SUM_UNDERFLOWED: s == 0.0,
+    }
     y = ctx.log(s)
-    g = [ctx.div(wi, s) for wi in w]
-    return EvalResult(y, g, _result_flags(y, g, flags), "basic")
+    g = ctx.div(w, s[:, None])
+    return _result(single, y, g, flags, "basic")
 
 
-def lse_softmax_shifted(x: Sequence[float], ctx: ArithmeticContext) -> EvalResult:
+def lse_softmax_shifted(x, ctx: ArithmeticContext) -> BatchResult | EvalResult:
     """Max-shifted evaluation; every exponential argument is <= 0.
 
     The pivot (first index attaining the maximum) is excluded from the sum
     and re-enters exactly through log1p(s) and 1 + s, so the n = 1 case is
     exact and overflow cannot occur for finite inputs.
     """
-    _check_vector(x)
-    flags: set[str] = set()
-    a = max(x)
-    k = x.index(a) if isinstance(x, list) else list(x).index(a)
-    w = [ctx.exp(ctx.sub(xi, a)) for xi in x]
-    s = 0.0
-    for i, wi in enumerate(w):
-        if i != k:
-            s = ctx.add(s, wi)
+    xs, single = _batch(x)
+    k = xs.argmax(axis=1)
+    a = xs[np.arange(len(xs)), k]
+    w = ctx.exp(ctx.sub(xs, a[:, None]))
+    s = np.array([
+        _sum_left_to_right(0.0, row[:p] + row[p + 1:], ctx.fmt)
+        for row, p in zip(w.tolist(), k.tolist())
+    ])
     y = ctx.add(a, ctx.log1p(s))
-    one_plus_s = ctx.add(1.0, s)
-    g = [ctx.div(wi, one_plus_s) for wi in w]
-    return EvalResult(y, g, _result_flags(y, g, flags), "shifted")
+    g = ctx.div(w, ctx.add(1.0, s)[:, None])
+    return _result(single, y, g, {}, "shifted")
 
 
 def softmax_alt(
-    x: Sequence[float],
-    y: float,
+    x,
+    y,
     ctx: ArithmeticContext,
     from_shifted: bool = False,
-) -> EvalResult:
+) -> BatchResult | EvalResult:
     """Division-free softmax g_j = exp(x_j - y) for a precomputed log-sum-exp.
 
+    ``y`` holds one log-sum-exp per row (a scalar for one vector).
     ``from_shifted`` records which algorithm produced ``y`` (the error
     behavior differs between the two feeds).
     """
-    _check_vector(x)
-    flags: set[str] = set()
-    g = [ctx.exp(ctx.sub(xj, y)) for xj in x]
-    if any(math.isinf(gj) for gj in g):
-        flags.add(FLAG_OVERFLOWED)
+    xs, single = _batch(x)
+    y = np.asarray(y, dtype=np.float64).reshape(-1)
+    g = ctx.exp(ctx.sub(xs, y[:, None]))
+    flags = {FLAG_OVERFLOWED: np.isinf(g).any(axis=1)}
     algorithm_id = "alt_shifted" if from_shifted else "alt_basic"
-    return EvalResult(y, g, _result_flags(y, g, flags), algorithm_id)
+    return _result(single, y, g, flags, algorithm_id)
 
 
-def evaluate(algorithm_id: str, x: Sequence[float], ctx: ArithmeticContext) -> EvalResult:
+def evaluate(algorithm_id: str, x, ctx: ArithmeticContext) -> BatchResult | EvalResult:
     """Run one algorithm by id; ``alt_*`` first runs the log-sum-exp feeding it."""
     if algorithm_id not in KERNELS:
         raise ValueError(f"unknown algorithm id: {algorithm_id!r}")

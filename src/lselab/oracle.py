@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .precision import FloatFormat
 
 __all__ = [
@@ -20,6 +22,8 @@ __all__ = [
     "lse_softmax_reference",
     "scaled_error",
     "scaled_error_vec",
+    "scaled_errors",
+    "scaled_errors_vec",
     "measurable",
 ]
 
@@ -60,9 +64,7 @@ def scaled_error(computed: float, reference: float, fmt: FloatFormat) -> float:
     """|computed - reference| / (u * |reference|); +inf for inf/NaN results."""
     if reference == 0.0 or reference != reference:
         raise ValueError("scaled error is undefined for a zero reference")
-    if not math.isfinite(computed):
-        return math.inf
-    return abs(computed - reference) / (fmt.unit_roundoff * abs(reference))
+    return float(scaled_errors(np.array([computed]), np.array([reference]), fmt)[0])
 
 
 def scaled_error_vec(
@@ -76,7 +78,22 @@ def scaled_error_vec(
     norm_ref = max(abs(r) for r in reference)
     if norm_ref == 0.0 or norm_ref != norm_ref:
         raise ValueError("scaled error is undefined for a zero reference vector")
-    if any(not math.isfinite(c) for c in computed):
-        return math.inf
-    err = max(abs(c - r) for c, r in zip(computed, reference))
-    return err / (fmt.unit_roundoff * norm_ref)
+    return float(scaled_errors_vec(np.array([computed]), np.array([reference]), fmt)[0])
+
+
+def scaled_errors(computed: np.ndarray, reference: np.ndarray, fmt: FloatFormat) -> np.ndarray:
+    """:func:`scaled_error` of each entry; +inf where the reference is 0."""
+    with np.errstate(all="ignore"):
+        err = np.abs(computed - reference) / (fmt.unit_roundoff * np.abs(reference))
+    return np.where((reference == 0.0) | ~np.isfinite(computed), np.inf, err)
+
+
+def scaled_errors_vec(
+    computed: np.ndarray, reference: np.ndarray, fmt: FloatFormat
+) -> np.ndarray:
+    """:func:`scaled_error_vec` of each row of two (rows x n) arrays; +inf
+    where a reference row is 0."""
+    norm_ref = np.abs(reference).max(axis=1)
+    with np.errstate(all="ignore"):
+        err = np.abs(computed - reference).max(axis=1) / (fmt.unit_roundoff * norm_ref)
+    return np.where((norm_ref == 0.0) | ~np.isfinite(computed).all(axis=1), np.inf, err)

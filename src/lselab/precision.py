@@ -5,19 +5,28 @@ result rounded to the target format (round-to-nearest, ties-to-even).  For
 target formats with at most 26 significand bits the binary64 intermediate
 carries more than twice the target precision, so the rounded binop result is
 the correctly rounded one (no double-rounding hazard).
+
+``round_to_format`` rounds one value; ``chop`` rounds a whole float64 array
+the same way (Higham & Pranesh, "Simulating low precision floating-point
+arithmetic", SIAM J. Sci. Comput., 2019), and ``ArithmeticContext`` applies it
+to array operands.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "FloatFormat",
     "ArithmeticContext",
     "format_params",
     "round_to_format",
+    "chop",
     "NAMED_FORMATS",
 ]
 
@@ -53,21 +62,21 @@ class FloatFormat:
     emax: int
     subnormals_enabled: bool
 
-    @property
+    @functools.cached_property
     def unit_roundoff(self) -> float:
         return math.ldexp(1.0, -self.precision_bits)
 
-    @property
+    @functools.cached_property
     def r_min(self) -> float:
         return math.ldexp(1.0, self.emin)
 
-    @property
+    @functools.cached_property
     def r_min_subnormal(self) -> float:
         if not self.subnormals_enabled:
             return self.r_min
         return math.ldexp(1.0, self.emin - self.precision_bits + 1)
 
-    @property
+    @functools.cached_property
     def r_max(self) -> float:
         return math.ldexp(2.0 - math.ldexp(1.0, 1 - self.precision_bits), self.emax)
 
@@ -133,13 +142,28 @@ def round_to_format(x: float, fmt: FloatFormat) -> float:
     return r
 
 
-def _ieee_div(a: float, b: float) -> float:
-    if b == 0.0:
-        if a != a or a == 0.0:
-            return math.nan
-        sign = math.copysign(1.0, a) * math.copysign(1.0, b)
-        return math.copysign(math.inf, sign)
-    return a / b  # float * and / overflow to inf; only / 0 raises
+def chop(x, fmt: FloatFormat):
+    """Round every entry of a float64 array as :func:`round_to_format` does.
+
+    Same branches, same bits: normal and subnormal values round to the
+    nearest grid point (ties to even), magnitudes below the normal range of a
+    format without subnormals flush to +-0 or +-r_min, overflow gives +-inf,
+    and signed zeros, infinities and NaN pass through.  A scalar argument
+    gives a ``numpy.float64``.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, e = np.frexp(x)
+        # Below r_min the grid spacing is that of the binade at emin.
+        shift = (fmt.precision_bits - 1) - np.maximum(e - 1, fmt.emin)
+        r = np.ldexp(np.rint(np.ldexp(x, shift)), -shift)
+        r = np.where(np.abs(r) > fmt.r_max, np.copysign(np.inf, x), r)
+        if not fmt.subnormals_enabled:
+            a = np.abs(x)
+            # Nearest of {0, +-r_min}; the tie at r_min/2 goes to 0 (even).
+            flushed = np.copysign(np.where(a <= 0.5 * fmt.r_min, 0.0, fmt.r_min), x)
+            r = np.where(a < fmt.r_min, flushed, r)
+    return r[()]  # the array itself, or the scalar of a 0-d array
 
 
 def _ieee_exp(a: float) -> float:
@@ -165,13 +189,31 @@ def _ieee_log1p(a: float) -> float:
     return math.log1p(a)
 
 
+def _libm(fast, ieee, a) -> np.ndarray:
+    """``fast`` (a ``math`` function) on each entry, or ``ieee`` where it raises.
+
+    Transcendental functions go through the C library one value at a time:
+    numpy's vector ``exp`` and ``log1p`` differ from it in the last bit on a
+    few percent of arguments, which would change every measured error.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    values = a.ravel().tolist()
+    try:
+        out = np.fromiter(map(fast, values), np.float64, len(values))
+    except (OverflowError, ValueError):
+        out = np.fromiter(map(ieee, values), np.float64, len(values))
+    return out.reshape(a.shape)
+
+
 @dataclass(frozen=True)
 class ArithmeticContext:
-    """Arithmetic used by the evaluation kernels.
+    """Arithmetic used by the evaluation kernels, on scalars or whole arrays.
 
-    Every operation is computed in binary64 and its result rounded to ``fmt``
-    (round-to-nearest, ties-to-even).  Rounding to ``fp64`` leaves every
-    binary64 value unchanged, so that context is native binary64.
+    Every operation is computed in binary64 (``+ - * /`` as IEEE numpy
+    operations, ``exp``/``log``/``log1p`` by the C library) and its result
+    rounded to ``fmt`` with :func:`chop` (round-to-nearest, ties-to-even).
+    Rounding to ``fp64`` leaves every binary64 value unchanged, so that
+    context is native binary64.
     """
 
     fmt: FloatFormat
@@ -180,26 +222,27 @@ class ArithmeticContext:
     def unit_roundoff(self) -> float:
         return self.fmt.unit_roundoff
 
-    def round(self, x: float) -> float:
-        return round_to_format(x, self.fmt)
+    def _binop(self, op, a, b):
+        with np.errstate(all="ignore"):  # inf and NaN results are the point
+            return chop(op(a, b), self.fmt)
 
-    def add(self, a: float, b: float) -> float:
-        return self.round(a + b)
+    def add(self, a, b):
+        return self._binop(np.add, a, b)
 
-    def sub(self, a: float, b: float) -> float:
-        return self.round(a - b)
+    def sub(self, a, b):
+        return self._binop(np.subtract, a, b)
 
-    def mul(self, a: float, b: float) -> float:
-        return self.round(a * b)
+    def mul(self, a, b):
+        return self._binop(np.multiply, a, b)
 
-    def div(self, a: float, b: float) -> float:
-        return self.round(_ieee_div(a, b))
+    def div(self, a, b):
+        return self._binop(np.divide, a, b)
 
-    def exp(self, a: float) -> float:
-        return self.round(_ieee_exp(a))
+    def exp(self, a):
+        return chop(_libm(math.exp, _ieee_exp, a), self.fmt)
 
-    def log(self, a: float) -> float:
-        return self.round(_ieee_log(a))
+    def log(self, a):
+        return chop(_libm(math.log, _ieee_log, a), self.fmt)
 
-    def log1p(self, a: float) -> float:
-        return self.round(_ieee_log1p(a))
+    def log1p(self, a):
+        return chop(_libm(math.log1p, _ieee_log1p, a), self.fmt)

@@ -162,6 +162,18 @@ class TestBoundLeadingTerm:
             )
 
 
+    def test_batch_matches_each_row(self):
+        rng = np.random.default_rng(5)
+        xs = rng.uniform(-30.0, 30.0, (7, 6))
+        xs[2] = -math.log(6.0)  # y = 0: infinite lse factors
+        ys = [lse_softmax_reference(row).y_ref for row in xs.tolist()]
+        for aid in ALGORITHM_IDS:
+            rep = bound_leading_term(aid, xs, np.array(ys))
+            rows = [bound_leading_term(aid, row, y=y) for row, y in zip(xs.tolist(), ys)]
+            assert rep.leading_factor.tolist() == [r.leading_factor for r in rows]
+            assert rep.max_dev.tolist() == [r.max_dev for r in rows]
+            assert bound_leading_term(aid, xs).leading_factor.tolist() == rep.leading_factor.tolist()
+
 class TestGradientIdentity:
     def test_finite_difference_matches_softmax(self):
         # binary64 central differences; components below the roundoff noise

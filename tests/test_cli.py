@@ -3,7 +3,10 @@ import math
 
 import pytest
 
-from lselab.cli import main
+import lselab.analysis
+import lselab.cli
+from lselab.cli import build_parser, main
+from lselab.oracle import lse_softmax_reference
 
 
 class TestFormats:
@@ -131,6 +134,8 @@ def _exit_code(argv):
 
 @pytest.mark.parametrize("argv,csv_text", [
     pytest.param(["eval", "--x", "1,abc"], None, id="eval-unparsable-vector"),
+    pytest.param(["eval", "--format", "fp16", "--x", "1e6,2"], None,
+                 id="eval-overflows-format"),
     pytest.param(["experiment", "--format", "fp16"], "1.0,nan\n", id="csv-nan"),
     pytest.param(["experiment", "--format", "fp16"], "", id="csv-empty"),
     pytest.param(["experiment", "--format", "fp16"], "1e6,2\n", id="csv-overflows-format"),
@@ -153,3 +158,43 @@ def test_bad_input_exits_2_with_one_line(argv, csv_text, tmp_path, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
     assert not list(tmp_path.glob("run*"))
+
+
+def test_parser_reused_across_calls(capsys):
+    # one process, several subcommands and options (--json on, then off):
+    # each call prints what a call with a freshly built parser prints
+    calls = [
+        ["eval", "--alg", "alt-basic", "--format", "fp16", "--x", "12,0", "--json"],
+        ["eval", "--alg", "alt-basic", "--format", "fp16", "--x", "12,0"],
+        ["analyze", "--x", "1,-1,3", "--json"],
+        ["analyze", "--x", "1,-1,3"],
+        ["formats"],
+        ["eval", "--x", "1,2,3"],
+    ]
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        assert main(argv) == 0
+        fresh.append(capsys.readouterr())
+    build_parser.cache_clear()
+    reused = []
+    for argv in calls:
+        assert main(argv) == 0
+        reused.append(capsys.readouterr())
+    assert reused == fresh
+    assert build_parser.cache_info().misses == 1
+
+
+def test_analyze_runs_oracle_once(monkeypatch, capsys):
+    calls = []
+
+    def counting(x):
+        calls.append(len(x))
+        return lse_softmax_reference(x)
+
+    for module in (lselab.cli, lselab.analysis):
+        monkeypatch.setattr(module, "lse_softmax_reference", counting)
+    for argv in (["analyze", "--x", "1,-1,3", "--json"], ["analyze", "--x", "1,-1,3"]):
+        calls.clear()
+        assert main(argv) == 0
+        assert calls == [3]

@@ -130,12 +130,30 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment([], FP16)
 
+    def test_ragged_csv_matches_each_vector_alone(self, tmp_path):
+        # interleaved lengths run as separate batches; each record is the
+        # one its vector gets alone, and records come back in trial-id order
+        rng = np.random.default_rng(31)
+        data = [rng.uniform(-20.0, 20.0, n).tolist() for n in (3, 7, 1, 3, 12, 7, 1, 3)]
+        data[4][5] = 14.0  # overflows the basic form in fp16
+        path = tmp_path / "ragged.csv"
+        emit_vectors_csv(data, path)
+        records = run_experiment(ingest_csv(path), FP16)
+        assert [r.trial_id for r in records] == list(range(len(data)))
+        alone = [run_trial(i, x, FP16) for i, x in enumerate(data)]
+        assert records == alone
+        assert "overflowed" in records[4].flags["basic"]
+        emit_csv(records, tmp_path / "batched.csv")
+        emit_csv(alone, tmp_path / "alone.csv")
+        assert (tmp_path / "batched.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
+
     def test_trial_rounds_inputs(self):
         # unrounded input and its rounded twin give identical records
         x = [0.1234567, -3.3219]
         r1 = run_trial(0, x, FP16)
         r2 = run_trial(0, [round_to_format(v, FP16) for v in x], FP16)
         assert r1 == r2
+        assert [r1] == run_experiment([x], FP16)
 
 
 class TestSummarize:
