@@ -71,7 +71,13 @@ def cond_lse(x: Sequence[float], ref: Reference | None = None) -> float:
 def softmax_jacobian(x: Sequence[float], ref: Reference | None = None) -> np.ndarray:
     """Jacobian of softmax: diag(g) - g g^T, built from oracle-grade g."""
     g = np.array((ref or lse_softmax_reference(x)).g_ref)
-    return np.diag(g) - np.outer(g, g)
+    # one n x n array, bit for bit diag(g) - outer(g, g): -(g_i g_j) + 0.0
+    # is 0 - g_i g_j (a product that underflows gives +0.0, not -0.0), and
+    # the diagonal then adds g_i, since a - b is a + (-b)
+    G = np.multiply.outer(-g, g)
+    G += 0.0
+    G.flat[:: len(g) + 1] += g
+    return G
 
 
 def cond_softmax(x: Sequence[float], ref: Reference | None = None) -> tuple[float, float]:
@@ -139,7 +145,7 @@ def bound_leading_term(
     xs = np.asarray(x, dtype=np.float64)
     rows = xs.reshape(-1, xs.shape[-1])
     if y is None:
-        y = [lse_softmax_reference(row).y_ref for row in rows.tolist()]
+        y = lse_softmax_reference(rows).y_ref
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     n = rows.shape[1]
     x_max = rows.max(axis=1)

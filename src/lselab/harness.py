@@ -5,9 +5,10 @@ ingest input vectors, run all four algorithms in a simulated format, measure
 scaled errors against the binary64 oracle, attach the corresponding bound
 leading factors, and tally softmax-sum deviations and overflow events.
 
-Generated vectors use per-trial Philox substreams (counter-based, jumped by
-trial id), and a trial's record depends only on its vector and trial id, so
-any slice of a suite reproduces the matching slice of its records.
+Generated vectors use per-trial Philox substreams (counter-based: trial i
+draws from ``Philox(seed).jumped(i)``), and a trial's record depends only
+on its vector and trial id, so any slice of a suite reproduces the matching
+slice of its records.
 
 Trials run as batches: the vectors of one length form a (trials x n) array
 that the kernels take whole, and each record column is computed for the
@@ -154,12 +155,7 @@ class Summary:
         return sum(s.bound_violations for s in self.per_algorithm.values())
 
 
-def _trial_rng(seed: int, trial_id: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(seed).jumped(trial_id))
-
-
-def _generate_one(spec: DataSpec, trial_id: int) -> np.ndarray:
-    rng = _trial_rng(spec.seed, trial_id)
+def _generate_one(spec: DataSpec, rng: np.random.Generator) -> np.ndarray:
     n = spec.n
     if spec.kind == "uniform":
         lo, hi = spec.params
@@ -186,10 +182,32 @@ def _generate_one(spec: DataSpec, trial_id: int) -> np.ndarray:
 
 def generate(spec: DataSpec, fmt: FloatFormat | None = None) -> list[list[float]]:
     """Seed-reproducible input vectors, pre-rounded to ``fmt`` when given."""
-    vectors = np.array([_generate_one(spec, i) for i in range(spec.count)])
+    bitgen = np.random.Philox(spec.seed)
+    rng = np.random.Generator(bitgen)
+    fresh = bitgen.state  # the seed's key, counter 0, nothing buffered
+    vectors = []
+    for i in range(spec.count):
+        # Philox(seed).jumped(i) is the fresh state with the counter at i * 2^128
+        fresh["state"]["counter"] = np.array([0, 0, i, 0], dtype=np.uint64)
+        bitgen.state = fresh
+        vectors.append(_generate_one(spec, rng))
+    vectors = np.array(vectors)
     if fmt is not None:
         vectors = chop(vectors, fmt)
     return vectors.tolist()
+
+
+def _bad_field(path, lineno: int, line: str) -> ValueError:
+    """The error for the first field of ``line`` that is not a finite number."""
+    for col, tok in enumerate(line.split(","), start=1):
+        tok = tok.strip()
+        try:
+            v = float(tok)
+        except ValueError:
+            v = math.nan
+        if not math.isfinite(v):
+            break
+    return ValueError(f"{path}: {tok!r} at line {lineno}, field {col} is not a finite number")
 
 
 def ingest_csv(path: str | os.PathLike) -> list[list[float]]:
@@ -203,19 +221,13 @@ def ingest_csv(path: str | os.PathLike) -> list[list[float]]:
             line = line.strip()
             if not line:
                 continue
-            row: list[float] = []
-            for col, tok in enumerate(line.split(","), start=1):
-                tok = tok.strip()
-                try:
-                    v = float(tok)
-                except ValueError:
-                    v = math.nan
-                if not math.isfinite(v):
-                    raise ValueError(
-                        f"{path}: {tok!r} at line {lineno}, field {col} "
-                        "is not a finite number"
-                    )
-                row.append(v)
+            try:
+                row = list(map(float, line.split(",")))
+                finite = all(map(math.isfinite, row))
+            except ValueError:
+                finite = False
+            if not finite:
+                raise _bad_field(path, lineno, line)
             vectors.append(row)
     if not vectors:
         raise ValueError(f"{path}: no input vectors")
@@ -232,9 +244,8 @@ def _sum_deviations(g: np.ndarray, u: float) -> np.ndarray:
 def _run_batch(trial_ids: list[int], xs: np.ndarray, fmt: FloatFormat) -> list[TrialRecord]:
     """Oracle reference plus all four simulated algorithms for a batch of
     equal-length vectors, already rounded to ``fmt``."""
-    refs = [lse_softmax_reference(x) for x in xs.tolist()]
-    y_ref = np.array([r.y_ref for r in refs])
-    g_ref = np.array([r.g_ref for r in refs])
+    ref = lse_softmax_reference(xs)
+    y_ref, g_ref = ref.y_ref, ref.g_ref
     u = fmt.unit_roundoff
 
     ctx = ArithmeticContext(fmt)

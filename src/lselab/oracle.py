@@ -5,6 +5,9 @@ The reference runs the shifted algorithm in binary64 with exact
 roughly full binary64 accuracy.  That leaves >= 2^20 precision headroom
 over every sub-double target format, so scaled errors measured against it
 are meaningful for fp16, bfloat16 and fp32 -- but not for fp64 itself.
+
+``lse_softmax_reference`` takes one vector or a (rows x n) batch; the
+experiment engine calls it once per batch of equal-length vectors.
 """
 
 from __future__ import annotations
@@ -34,25 +37,48 @@ _MIN_MEASURABLE_U = math.ldexp(1.0, 20 - 53)
 
 @dataclass(frozen=True)
 class Reference:
-    y_ref: float
-    g_ref: tuple[float, ...]
+    """The oracle's log-sum-exp and softmax: a float and a tuple for one
+    vector, arrays for a batch."""
+
+    y_ref: float | np.ndarray
+    g_ref: tuple[float, ...] | np.ndarray
     method: str = "compensated-shifted"
 
 
-def lse_softmax_reference(x: Sequence[float]) -> Reference:
-    """Binary64 shifted evaluation with compensated summation."""
-    if len(x) == 0:
+def lse_softmax_reference(x) -> Reference:
+    """Binary64 shifted evaluation with compensated summation.
+
+    ``x`` is one vector or a (rows x n) batch.  For a batch, ``y_ref`` is an
+    array with one entry per row and ``g_ref`` a (rows x n) array.  Each row
+    gets the same operations as a single vector: every x_i - a is one
+    binary64 subtraction and every exp a C-library ``exp``, and the two sums
+    are exact (``math.fsum``), so a row's result does not depend on the batch.
+    """
+    xs = np.asarray(x, dtype=np.float64)
+    if xs.ndim not in (1, 2) or xs.shape[-1] == 0:
         raise ValueError("input vector must have length >= 1")
-    for v in x:
-        if not math.isfinite(v):
-            raise ValueError("input vector entries must be finite")
-    a = max(x)
-    k = list(x).index(a)
-    w = [math.exp(xi - a) for xi in x]
-    s = math.fsum(wi for i, wi in enumerate(w) if i != k)
-    y = a + math.log1p(s)
-    denom = math.fsum([1.0, *(wi for i, wi in enumerate(w) if i != k)])
-    g = tuple(wi / denom for wi in w)
+    if not np.isfinite(xs).all():
+        raise ValueError("input vector entries must be finite")
+    rows = xs.reshape(-1, xs.shape[-1])
+    n = rows.shape[1]
+    k = rows.argmax(axis=1)  # the pivot: the first index attaining the maximum
+    a = rows[np.arange(len(rows)), k]
+    with np.errstate(over="ignore"):  # x_i - a below binary64's range is -inf
+        shifted = (rows - a[:, None]).ravel().tolist()
+    w = list(map(math.exp, shifted))
+    s = []
+    denom = []
+    for i, p in enumerate(k.tolist()):
+        row = w[i * n:(i + 1) * n]
+        # the pivot's term is exp(0) = 1 exactly: the row as it is sums to
+        # 1 + s, and with the pivot zeroed to s
+        denom.append(math.fsum(row))
+        row[p] = 0.0
+        s.append(math.fsum(row))
+    y = a + np.array(list(map(math.log1p, s)))
+    g = np.array(w).reshape(rows.shape) / np.array(denom)[:, None]
+    if xs.ndim == 1:
+        return Reference(float(y[0]), tuple(g[0].tolist()))
     return Reference(y, g)
 
 

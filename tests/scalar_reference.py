@@ -3,7 +3,8 @@
 These are the evaluation algorithms as lselab ran them before its kernels
 took whole batches.  Every operation is computed with Python's binary64
 arithmetic and the ``math`` module and rounded by ``round_to_format``, so the
-batch kernels must reproduce their results bit for bit.
+batch kernels must reproduce their results bit for bit.  The oracle, in
+binary64 throughout, is kept as it ran before it took a batch.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import math
 
 from lselab.kernels import EvalResult
+from lselab.oracle import Reference
 from lselab.precision import FloatFormat, round_to_format
 
 
@@ -102,3 +104,13 @@ def softmax_alt(
         flags.add("overflowed")
     algorithm_id = "alt_shifted" if from_shifted else "alt_basic"
     return EvalResult(y, g, _result_flags(y, g, flags), algorithm_id)
+
+
+def lse_softmax_reference(x: list[float]) -> Reference:
+    a = max(x)
+    k = x.index(a)
+    w = [math.exp(xi - a) for xi in x]
+    s = math.fsum(wi for i, wi in enumerate(w) if i != k)
+    y = a + math.log1p(s)
+    denom = math.fsum([1.0, *(wi for i, wi in enumerate(w) if i != k)])
+    return Reference(y, tuple(wi / denom for wi in w))

@@ -9,7 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalar_reference as ref
+from lselab.analysis import softmax_jacobian
+from lselab.harness import DataSpec, _generate_one, generate
 from lselab.kernels import lse_softmax_basic, lse_softmax_shifted, softmax_alt
+from lselab.oracle import lse_softmax_reference
 from lselab.precision import ArithmeticContext, chop, format_params, round_to_format
 
 FORMATS = ["fp16", "bfloat16", "fp32", "custom:t=5,emin=-6,emax=7,subnormals=0"]
@@ -124,3 +127,76 @@ def test_single_vector_is_a_one_row_batch():
         one, batch = kernel(x, ctx), kernel(np.array([x]), ctx)
         assert isinstance(one.y, float) and isinstance(one.g, list)
         _check_row(batch, 0, one)
+
+
+def _oracle_rows() -> list[list[float]]:
+    rng = np.random.default_rng(17)
+    rows = [rng.uniform(-30.0, 30.0, 6).tolist() for _ in range(5)]
+    rows += [
+        [3.0, 3.0, 1.0, -2.0, 3.0, 0.5],  # tied maxima: the first is the pivot
+        [-800.0, -800.5, -801.0, -900.0, -800.0, -1e4],  # exp(x - a) underflows
+        [0.0, -800.0, -745.0, -746.0, -708.0, -1e300],
+        [-0.0, 0.0, -0.0, 0.0, -1.0, -2.0],
+        [1e308, -1e308, 0.0, 1.0, 2.0, 1e308],
+    ]
+    return rows
+
+
+def _check_reference(got: float, got_g, want) -> None:
+    assert _same(got, want.y_ref), (got, want.y_ref)
+    assert len(got_g) == len(want.g_ref)
+    assert all(_same(a, b) for a, b in zip(got_g, want.g_ref))
+
+
+def test_batch_oracle_matches_per_row_oracle():
+    rows = _oracle_rows()
+    batch = lse_softmax_reference(np.array(rows))
+    for i, row in enumerate(rows):
+        want = ref.lse_softmax_reference(row)
+        _check_reference(float(batch.y_ref[i]), batch.g_ref[i].tolist(), want)
+        one = lse_softmax_reference(row)
+        assert isinstance(one.y_ref, float) and isinstance(one.g_ref, tuple)
+        _check_reference(one.y_ref, one.g_ref, want)
+
+
+@pytest.mark.parametrize("x", [[0.0], [-800.0], [1e308], [-0.0]])
+def test_batch_oracle_single_entry(x):
+    batch = lse_softmax_reference(np.array([x, x]))
+    for i in range(2):
+        _check_reference(float(batch.y_ref[i]), batch.g_ref[i].tolist(),
+                         ref.lse_softmax_reference(x))
+
+
+@given(st.integers(1, 12).flatmap(lambda n: st.lists(
+    st.lists(st.floats(-1000.0, 1000.0), min_size=n, max_size=n), min_size=1, max_size=5)))
+@settings(max_examples=200, deadline=None)
+def test_batch_oracle_matches_per_row_oracle_hypothesis(rows):
+    batch = lse_softmax_reference(np.array(rows))
+    for i, row in enumerate(rows):
+        _check_reference(float(batch.y_ref[i]), batch.g_ref[i].tolist(),
+                         ref.lse_softmax_reference(row))
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("uniform", (-20.0, 20.0)),
+    ("near_singular", (0.1,)),
+    ("wide_spread", (30.0,)),
+    ("constant", (1.5,)),
+])
+def test_generate_draws_trial_i_from_philox_jumped_i(kind, params):
+    spec = DataSpec(kind, params, n=7, count=9, seed=11)
+    want = [
+        _generate_one(spec, np.random.Generator(np.random.Philox(spec.seed).jumped(i)))
+        for i in range(spec.count)
+    ]
+    assert np.array(generate(spec)).tobytes() == np.array(want).tobytes()
+
+
+def test_jacobian_matches_diag_minus_outer_bitwise():
+    rng = np.random.default_rng(5)
+    rows = [rng.uniform(-20.0, 20.0, n).tolist() for n in (1, 2, 7, 40)]
+    rows += [[0.0, -800.0, -745.0, -700.0, -1e3], [0.0, -400.0, -380.0]]  # g_i or g_i g_j underflow
+    for x in rows:
+        g = np.array(ref.lse_softmax_reference(x).g_ref)
+        want = np.diag(g) - np.outer(g, g)
+        assert softmax_jacobian(x).tobytes() == want.tobytes(), x

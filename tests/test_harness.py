@@ -92,6 +92,21 @@ class TestIngestCsv:
         with pytest.raises(ValueError, match=r"line 2, field 2"):
             ingest_csv(p)
 
+    @pytest.mark.parametrize("line,tok,col", [
+        (" 1 , nan ,3", "nan", 2),
+        ("1,,3", "", 2),
+        ("1e999,abc", "1e999", 1),
+        ("1,2, -inf", "-inf", 3),
+        ("1;2", "1;2", 1),
+    ])
+    def test_error_message_names_the_first_bad_field(self, tmp_path, line, tok, col):
+        p = tmp_path / "in.csv"
+        p.write_text(f" 2.5 ,1e3\n\n{line}\n")
+        msg = f"{p}: {tok!r} at line 3, field {col} is not a finite number"
+        with pytest.raises(ValueError) as info:
+            ingest_csv(p)
+        assert str(info.value) == msg
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             ingest_csv(tmp_path / "nope.csv")
