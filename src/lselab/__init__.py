@@ -2,24 +2,21 @@
 
 from .analysis import (
     BoundReport,
-    ConditionReport,
     bound_leading_term,
     cond_lse,
     cond_softmax,
-    condition_report,
     softmax_jacobian,
     y_range,
 )
 from .harness import (
     DataSpec,
+    Records,
     Summary,
-    TrialRecord,
     emit_csv,
     emit_vectors_csv,
     generate,
     ingest_csv,
     run_experiment,
-    run_trial,
     summarize,
 )
 from .kernels import (

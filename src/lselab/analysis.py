@@ -18,14 +18,12 @@ from .quantities import QUANTITIES
 
 __all__ = [
     "BoundReport",
-    "ConditionReport",
     "ALGORITHM_IDS",
     "cond_lse",
     "softmax_jacobian",
     "cond_softmax",
     "y_range",
     "bound_leading_term",
-    "condition_report",
 ]
 
 # Bound ids grouped by the log-sum-exp that feeds them (basic, then shifted).
@@ -46,14 +44,6 @@ class BoundReport:
     x_max: float
     x_min: float
     max_dev: float  # max_j |x_j - y|
-
-
-@dataclass(frozen=True)
-class ConditionReport:
-    cond_f: float
-    cond_g_exact: float
-    cond_g_upper: float
-    jacobian: np.ndarray
 
 
 def cond_lse(x: Sequence[float], ref: Reference | None = None) -> float:
@@ -115,19 +105,18 @@ def _leading_factor(
     y = 0 makes both log-sum-exp factors +inf through the division: the
     shifted numerator is at least n because x_min <= x_max <= y.
     """
-    with np.errstate(divide="ignore"):
-        if algorithm_id == "basic_lse":
-            return 1.0 + (n + 1) / np.abs(y)
-        if algorithm_id == "basic_softmax":
-            return np.full_like(y, n + 3)
-        if algorithm_id == "alt_softmax":
-            return np.abs(y) + max_dev + n + 2
-        if algorithm_id == "shifted_lse":
-            return np.abs(y + n - x_min) / np.abs(y)
-        if algorithm_id == "shifted_softmax":
-            return n + 2 + 2.0 * (x_max - x_min)
-        if algorithm_id == "alt_shifted_softmax":
-            return 1.0 + max_dev + np.abs(y + n - x_min)
+    if algorithm_id == "basic_lse":
+        return 1.0 + (n + 1) / np.abs(y)
+    if algorithm_id == "basic_softmax":
+        return np.full_like(y, n + 3)
+    if algorithm_id == "alt_softmax":
+        return np.abs(y) + max_dev + n + 2
+    if algorithm_id == "shifted_lse":
+        return np.abs(y + n - x_min) / np.abs(y)
+    if algorithm_id == "shifted_softmax":
+        return n + 2 + 2.0 * (x_max - x_min)
+    if algorithm_id == "alt_shifted_softmax":
+        return 1.0 + max_dev + np.abs(y + n - x_min)
     raise ValueError(f"unknown algorithm id: {algorithm_id!r}")
 
 
@@ -150,14 +139,13 @@ def bound_leading_term(
     n = rows.shape[1]
     x_max = rows.max(axis=1)
     x_min = rows.min(axis=1)
-    max_dev = np.abs(rows - y[:, None]).max(axis=1)
-    fields = (_leading_factor(algorithm_id, n, y, x_max, x_min, max_dev), y, x_max, x_min, max_dev)
+    # y = 0 divides by zero, and x_j - y or a factor beyond binary64's range
+    # overflows: both give +inf, the right value
+    with np.errstate(divide="ignore", over="ignore"):
+        max_dev = np.abs(rows - y[:, None]).max(axis=1)
+        factor = _leading_factor(algorithm_id, n, y, x_max, x_min, max_dev)
+    fields = (factor, y, x_max, x_min, max_dev)
     if xs.ndim == 1:
         fields = [float(f[0]) for f in fields]
     return BoundReport(algorithm_id, fields[0], n, *fields[1:])
 
-
-def condition_report(x: Sequence[float]) -> ConditionReport:
-    ref = lse_softmax_reference(x)
-    exact, upper = cond_softmax(x, ref)
-    return ConditionReport(cond_lse(x, ref), exact, upper, softmax_jacobian(x, ref))

@@ -12,7 +12,8 @@ slice of its records.
 
 Trials run as batches: the vectors of one length form a (trials x n) array
 that the kernels take whole, and each record column is computed for the
-batch at once.
+batch at once.  The records stay columns: :class:`Records` holds one array
+per CSV column and one boolean array per kernel flag.
 """
 
 from __future__ import annotations
@@ -20,21 +21,28 @@ from __future__ import annotations
 import math
 import os
 import statistics
-from dataclasses import dataclass, field, make_dataclass
-from operator import attrgetter
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from functools import reduce
+from itertools import compress
+from typing import Sequence
 
 import numpy as np
 
 from .analysis import bound_leading_term
-from .kernels import lse_softmax_basic, lse_softmax_shifted, softmax_alt
+from .kernels import (
+    FLAG_OVERFLOWED,
+    FLAG_PRODUCED_INF,
+    lse_softmax_basic,
+    lse_softmax_shifted,
+    softmax_alt,
+)
 from .oracle import lse_softmax_reference, scaled_errors, scaled_errors_vec
 from .precision import ArithmeticContext, FloatFormat, chop
-from .quantities import KERNELS, QUANTITIES, SUM_DEV_COLUMNS
+from .quantities import KERNELS, QUANTITIES, SUM_DEV_COLUMNS, Quantity
 
 __all__ = [
     "DataSpec",
-    "TrialRecord",
+    "Records",
     "Summary",
     "PairStats",
     "generate",
@@ -58,7 +66,8 @@ _FLOAT_COLUMNS = (
     *(c for q in QUANTITIES for c in (q.err, q.bnd)),
     *SUM_DEV_COLUMNS.values(),
 )
-CSV_HEADER = ",".join(("trial_id", "n", *_FLOAT_COLUMNS, "flags"))
+_COLUMNS = ("trial_id", "n", *_FLOAT_COLUMNS)
+CSV_HEADER = ",".join((*_COLUMNS, "flags"))
 
 
 @dataclass(frozen=True)
@@ -85,38 +94,48 @@ class DataSpec:
             raise ValueError("n must be >= 1")
         if self.count < 1:
             raise ValueError("count must be >= 1")
+        if not all(map(math.isfinite, self.params)):
+            raise ValueError(f"{self.kind} generator parameters must be finite")
         if self.kind == "uniform":
             if len(self.params) != 2 or not self.params[0] < self.params[1]:
                 raise ValueError("uniform generator needs params (lo, hi) with lo < hi")
+            width = self.params[1] - self.params[0]
         elif self.kind in ("near_singular", "wide_spread"):
             if len(self.params) != 1 or self.params[0] <= 0:
                 raise ValueError(f"{self.kind} generator needs one positive parameter")
-        elif self.kind == "constant":
+            # entries are drawn from U(-eps, eps) or from a range delta wide
+            width = 2.0 * self.params[0] if self.kind == "near_singular" else self.params[0]
+        else:  # constant
             if len(self.params) != 1:
                 raise ValueError("constant generator needs one parameter")
+            width = 0.0
+        if not math.isfinite(width):
+            raise ValueError(f"{self.kind} generator range is wider than binary64 can hold")
 
 
-def _flags_str(self) -> str:
-    parts = []
-    for alg in KERNELS:
-        fl = self.flags.get(alg)
-        if fl:
-            parts.append(f"{alg}:" + "+".join(sorted(fl)))
-    return ";".join(parts)
+@dataclass(frozen=True, eq=False)
+class Records:
+    """An experiment's results as columns, one entry per trial in trial-id order.
 
+    ``columns`` holds ``trial_id``, ``n`` and every float CSV column;
+    ``flags`` maps each kernel to its flag columns, one per flag it can
+    raise (its ``BatchResult.flags``).
+    """
 
-# One trial's results: the CSV columns as fields, plus each kernel's flags.
-TrialRecord = make_dataclass(
-    "TrialRecord",
-    [
-        ("trial_id", int),
-        ("n", int),
-        *((c, float) for c in _FLOAT_COLUMNS),
-        ("flags", dict[str, frozenset[str]], field(default_factory=dict)),
-    ],
-    namespace={"__module__": __name__, "flags_str": _flags_str},
-)
-_float_values = attrgetter(*_FLOAT_COLUMNS)
+    columns: dict[str, np.ndarray]
+    flags: dict[str, dict[str, np.ndarray]]
+
+    def __len__(self) -> int:
+        return len(self.columns["trial_id"])
+
+    def excluded(self, kernel: str) -> np.ndarray:
+        """The trials that hit a numeric pathology on ``kernel``'s path.
+
+        Every flag a kernel raises is one (overflow, an infinite or NaN
+        result, a sum underflowed to zero).  Such trials are left out of the
+        error statistics and the bound-conformance tally.
+        """
+        return reduce(np.logical_or, self.flags[kernel].values())
 
 
 @dataclass(frozen=True)
@@ -241,9 +260,11 @@ def _sum_deviations(g: np.ndarray, u: float) -> np.ndarray:
     return np.abs(np.array(sums) - 1.0) / u
 
 
-def _run_batch(trial_ids: list[int], xs: np.ndarray, fmt: FloatFormat) -> list[TrialRecord]:
-    """Oracle reference plus all four simulated algorithms for a batch of
-    equal-length vectors, already rounded to ``fmt``."""
+def _run_batch(
+    xs: np.ndarray, fmt: FloatFormat
+) -> tuple[dict[str, np.ndarray], dict[str, dict[str, np.ndarray]]]:
+    """The float record columns and each kernel's flag columns for a batch
+    of equal-length vectors, already rounded to ``fmt``."""
     ref = lse_softmax_reference(xs)
     y_ref, g_ref = ref.y_ref, ref.g_ref
     u = fmt.unit_roundoff
@@ -271,25 +292,11 @@ def _run_batch(trial_ids: list[int], xs: np.ndarray, fmt: FloatFormat) -> list[T
         columns[q.bnd] = bound_leading_term(q.bound_id, xs, y_ref).leading_factor
     for kernel, column in SUM_DEV_COLUMNS.items():
         columns[column] = _sum_deviations(runs[kernel].g, u)
-
-    values = zip(*(np.asarray(columns[name]).tolist() for name in _FLOAT_COLUMNS))
-    flags = [dict(zip(runs, fl)) for fl in zip(*(r.flag_sets() for r in runs.values()))]
-    n = xs.shape[1]
-    return [TrialRecord(tid, n, *v, fl) for tid, v, fl in zip(trial_ids, values, flags)]
+    return columns, {kernel: runs[kernel].flags for kernel in KERNELS}
 
 
-def run_trial(trial_id: int, x: Sequence[float], fmt: FloatFormat) -> TrialRecord:
-    """The record ``run_experiment`` gives vector ``x`` as trial ``trial_id``."""
-    xs = chop(np.array([x], dtype=np.float64), fmt)
-    if not np.isfinite(xs).all():
-        raise ValueError(f"vector {trial_id} is not finite when rounded to {fmt.name}")
-    return _run_batch([trial_id], xs, fmt)[0]
-
-
-def run_experiment(
-    data: Sequence[Sequence[float]], fmt: FloatFormat
-) -> list[TrialRecord]:
-    """Run all trials; records are ordered by trial id.
+def run_experiment(data: Sequence[Sequence[float]], fmt: FloatFormat) -> Records:
+    """Run all trials; records are in trial-id order.
 
     Vectors of one length run as one batch; a vector's record does not
     depend on which others share its batch.
@@ -307,58 +314,64 @@ def run_experiment(
         batches.append((ids, xs))
     if bad:
         raise ValueError(f"vector {min(bad)} is not finite when rounded to {fmt.name}")
-    records: list[TrialRecord] = [None] * len(data)
+    parts = []
     for ids, xs in batches:
-        for rec in _run_batch(ids, xs, fmt):
-            records[rec.trial_id] = rec
+        columns, flags = _run_batch(xs, fmt)
+        ids = np.array(ids)
+        parts.append(({"trial_id": ids, "n": np.full_like(ids, xs.shape[1]), **columns}, flags))
+    if len(parts) == 1:
+        return Records(*parts[0])
+    # ragged input: join the batches, then restore trial-id order
+    order = np.argsort(np.concatenate([c["trial_id"] for c, _ in parts]))
+
+    def joined(cols: list[np.ndarray]) -> np.ndarray:
+        return np.concatenate(cols)[order]
+
+    columns = {name: joined([c[name] for c, _ in parts]) for name in parts[0][0]}
+    flags = {
+        kernel: {name: joined([f[kernel][name] for _, f in parts]) for name in kernel_flags}
+        for kernel, kernel_flags in parts[0][1].items()
+    }
+    return Records(columns, flags)
+
+
+def run_trial(trial_id: int, x: Sequence[float], fmt: FloatFormat) -> Records:
+    """The one-trial records ``run_experiment`` gives vector ``x`` as trial ``trial_id``.
+
+    Nothing in lselab calls it: it stays while ``perfbench/spans.py`` wraps
+    ``harness.run_trial`` by name (ROADMAP item 6 counts trials from the
+    records instead).
+    """
+    records = run_experiment([x], fmt)
+    records.columns["trial_id"] += trial_id
     return records
 
 
+# (numerator, denominator) quantity of each summary ratio
 _RATIO_PAIRS = tuple(
-    (q.err, "err_" + q.ratio_to) for q in QUANTITIES if q.ratio_to is not None
+    (q, next(d for d in QUANTITIES if d.stem == q.ratio_to))
+    for q in QUANTITIES
+    if q.ratio_to is not None
 )
 
-_PATHOLOGY_FLAGS = frozenset(
-    {"overflowed", "produced_inf", "produced_nan", "sum_underflowed_to_zero"}
-)
 
-# error column -> the kernel whose flags exclude it
-_ERR_FLAG_KEY = {q.err: q.kernel for q in QUANTITIES}
-
-
-def trial_excluded(record: TrialRecord, error_field: str) -> bool:
-    """True when the trial hit a numeric pathology on this algorithm's path.
-
-    Such trials are counted (overflow census) but excluded from error
-    statistics and bound-conformance tallies.
-    """
-    flags = record.flags.get(_ERR_FLAG_KEY[error_field], frozenset())
-    return bool(flags & _PATHOLOGY_FLAGS)
-
-
-def _pair_stats(records: Sequence[TrialRecord], num: str, den: str) -> PairStats:
-    ratios = []
-    identical = 0
-    comparable = 0
-    for r in records:
-        a = getattr(r, num)
-        b = getattr(r, den)
-        if trial_excluded(r, num) or trial_excluded(r, den):
-            continue
-        if not (math.isfinite(a) and math.isfinite(b)):
-            continue
-        comparable += 1
-        if a == b:
-            identical += 1
-        if a > 0.0 and b > 0.0:
-            ratios.append(a / b)
+def _pair_stats(
+    num: Quantity, den: Quantity, errors: dict[str, list], counted: dict[str, list]
+) -> PairStats:
+    """Ratio statistics of two quantities' errors over the trials counted for both."""
+    both = [a and b for a, b in zip(counted[num.stem], counted[den.stem])]
+    a_col = list(compress(errors[num.stem], both))
+    b_col = list(compress(errors[den.stem], both))
+    comparable = len(a_col)
+    identical = sum(a == b for a, b in zip(a_col, b_col))
+    ratios = [a / b for a, b in zip(a_col, b_col) if a > 0.0 and b > 0.0]
     if not ratios:
-        return PairStats(num, den, 0, None, None, None, None,
+        return PairStats(num.err, den.err, 0, None, None, None, None,
                          identical / comparable if comparable else None)
     gm = math.exp(math.fsum(math.log(r) for r in ratios) / len(ratios))
     return PairStats(
-        num,
-        den,
+        num.err,
+        den.err,
         len(ratios),
         sum(ratios) / len(ratios),
         gm,
@@ -368,40 +381,49 @@ def _pair_stats(records: Sequence[TrialRecord], num: str, den: str) -> PairStats
     )
 
 
-def summarize(records: Sequence[TrialRecord]) -> Summary:
+def summarize(records: Records) -> Summary:
     if len(records) == 0:
         raise ValueError("cannot summarize an empty record list")
+    cols = records.columns
+    excluded = {kernel: records.excluded(kernel).tolist() for kernel in KERNELS}
+    errors = {q.stem: cols[q.err].tolist() for q in QUANTITIES}
+    # per quantity, whether each trial's error counts: finite and not excluded
+    counted = {
+        q.stem: [math.isfinite(e) and not x for e, x in zip(errors[q.stem], excluded[q.kernel])]
+        for q in QUANTITIES
+    }
     per_alg: dict[str, AlgStats] = {}
     for q in QUANTITIES:
-        finite = []
-        violations = 0
-        overflow = 0
-        for r in records:
-            err = getattr(r, q.err)
-            if "overflowed" in r.flags.get(q.kernel, ()) or "produced_inf" in r.flags.get(
-                q.kernel, ()
-            ):
-                overflow += 1
-            if trial_excluded(r, q.err):
-                continue
-            if math.isfinite(err):
-                finite.append(err)
-                if err > getattr(r, q.bnd):
-                    violations += 1
+        finite = list(compress(errors[q.stem], counted[q.stem]))
+        bounds = compress(cols[q.bnd].tolist(), counted[q.stem])
+        flags = records.flags[q.kernel]
+        overflow = flags.get(FLAG_OVERFLOWED, False) | flags[FLAG_PRODUCED_INF]
         per_alg[q.stem] = AlgStats(
             error_field=q.err,
             finite_count=len(finite),
             max=max(finite) if finite else None,
             mean=sum(finite) / len(finite) if finite else None,
             median=statistics.median(finite) if finite else None,
-            bound_violations=violations,
-            overflow_count=overflow,
+            bound_violations=sum(e > b for e, b in zip(finite, bounds)),
+            overflow_count=int(np.count_nonzero(overflow)),
         )
-    pairs = tuple(_pair_stats(records, a, b) for a, b in _RATIO_PAIRS)
+    pairs = tuple(_pair_stats(a, b, errors, counted) for a, b in _RATIO_PAIRS)
     return Summary(len(records), per_alg, pairs)
 
 
-def emit_csv(records: Iterable[TrialRecord] | Summary, path: str | os.PathLike) -> None:
+def _flag_cells(records: Records) -> list[str]:
+    """Each trial's CSV flags cell: ``kernel:flag+flag`` for every kernel that
+    raised a flag, in kernel order, joined by ``;``."""
+    cells: list[list[str]] = [[] for _ in range(len(records))]
+    for kernel in KERNELS:
+        flags = records.flags[kernel]
+        names = sorted(flags)
+        for i in np.flatnonzero(records.excluded(kernel)).tolist():
+            cells[i].append(f"{kernel}:" + "+".join(n for n in names if flags[n][i]))
+    return [";".join(c) for c in cells]
+
+
+def emit_csv(records: Records | Summary, path: str | os.PathLike) -> None:
     """Write trial records (or a summary) as CSV; floats round-trip exactly."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         if isinstance(records, Summary):
@@ -418,10 +440,10 @@ def emit_csv(records: Iterable[TrialRecord] | Summary, path: str | os.PathLike) 
                     fh.write(f"{tag}.{k},{getattr(p, k)}\n")
             return
         fh.write(CSV_HEADER + "\n")
-        for r in records:
-            fields = [str(r.trial_id), str(r.n), *map(repr, _float_values(r))]
-            fields.append(r.flags_str())
-            fh.write(",".join(fields) + "\n")
+        # repr gives the two int columns as str does, and each float exactly
+        columns = (records.columns[name].tolist() for name in _COLUMNS)
+        for *values, flags in zip(*columns, _flag_cells(records)):
+            fh.write(",".join((*map(repr, values), flags)) + "\n")
 
 
 def emit_vectors_csv(

@@ -18,7 +18,6 @@ semantics and are reported through the result's flags.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress
 from typing import Sequence
 
 import numpy as np
@@ -64,12 +63,6 @@ class BatchResult:
     g: np.ndarray
     flags: dict[str, np.ndarray]
     algorithm_id: str
-
-    def flag_sets(self) -> list[frozenset[str]]:
-        """The raised flags of each row."""
-        names = list(self.flags)
-        columns = (col.tolist() for col in self.flags.values())
-        return [frozenset(compress(names, raised)) for raised in zip(*columns)]
 
     def row(self, i: int) -> EvalResult:
         flags = {name for name, col in self.flags.items() if col[i]}
@@ -144,8 +137,8 @@ def softmax_alt(
     """Division-free softmax g_j = exp(x_j - y) for a precomputed log-sum-exp.
 
     ``y`` holds one log-sum-exp per row (a scalar for one vector).
-    ``from_shifted`` records which algorithm produced ``y`` (the error
-    behavior differs between the two feeds).
+    ``from_shifted`` says which algorithm produced ``y``; it only sets the
+    result's ``algorithm_id`` (``alt_shifted`` or ``alt_basic``).
     """
     xs, single = _batch(x)
     y = np.asarray(y, dtype=np.float64).reshape(-1)

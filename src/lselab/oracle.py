@@ -42,7 +42,6 @@ class Reference:
 
     y_ref: float | np.ndarray
     g_ref: tuple[float, ...] | np.ndarray
-    method: str = "compensated-shifted"
 
 
 def lse_softmax_reference(x) -> Reference:

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import math
 import os
-from typing import Sequence
 
-from .harness import TrialRecord
+from .harness import Records
 
 __all__ = ["emit_svg_scatter"]
 
@@ -29,20 +28,19 @@ def _transform(v: float, lo: float, hi: float, log_axes: bool) -> float:
 
 
 def emit_svg_scatter(
-    records: Sequence[TrialRecord],
+    records: Records,
     x_field: str,
     y_field: str,
     path: str | os.PathLike,
     log_axes: bool = False,
     reference_line: bool = True,
 ) -> None:
-    """Scatter ``y_field`` against ``x_field``; non-finite points are skipped."""
-    if not {x_field, y_field} <= TrialRecord.__dataclass_fields__.keys():
+    """Scatter column ``y_field`` against ``x_field``; non-finite points are skipped."""
+    if not {x_field, y_field} <= records.columns.keys():
         raise ValueError(f"unknown record fields: {x_field!r}, {y_field!r}")
     pts = []
-    for r in records:
-        xv = float(getattr(r, x_field))
-        yv = float(getattr(r, y_field))
+    for xv, yv in zip(records.columns[x_field].tolist(), records.columns[y_field].tolist()):
+        xv, yv = float(xv), float(yv)
         if not (math.isfinite(xv) and math.isfinite(yv)):
             continue
         if log_axes and (xv <= 0.0 or yv <= 0.0):

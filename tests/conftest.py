@@ -1,5 +1,7 @@
 import math
 
+from lselab.harness import Records
+
 
 def match_3sf(computed: float, table) -> bool:
     """Agreement with a 3-significant-figure table entry.
@@ -17,3 +19,26 @@ def match_3sf(computed: float, table) -> bool:
         return computed == 0.0
     unit = 10.0 ** (math.floor(math.log10(abs(table))) - 2)
     return abs(computed - table) <= unit * (1.0 + 1e-9)
+
+
+def same_records(a, b) -> bool:
+    """Bit-for-bit equality of two ``Records``: every column and every flag."""
+
+    def same(x, y) -> bool:
+        return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+    return (
+        a.columns.keys() == b.columns.keys()
+        and all(same(a.columns[k], b.columns[k]) for k in a.columns)
+        and a.flags.keys() == b.flags.keys()
+        and all(a.flags[k].keys() == b.flags[k].keys() for k in a.flags)
+        and all(same(col, b.flags[k][f]) for k, fl in a.flags.items() for f, col in fl.items())
+    )
+
+
+def select(records, index, id_offset=0):
+    """The trials at ``index`` as new ``Records``, ``id_offset`` added to their ids."""
+    columns = {name: col[index] for name, col in records.columns.items()}
+    columns["trial_id"] = columns["trial_id"] + id_offset
+    flags = {k: {f: col[index] for f, col in fl.items()} for k, fl in records.flags.items()}
+    return Records(columns, flags)

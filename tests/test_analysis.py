@@ -8,7 +8,6 @@ from lselab.analysis import (
     bound_leading_term,
     cond_lse,
     cond_softmax,
-    condition_report,
     softmax_jacobian,
     y_range,
 )
@@ -201,9 +200,13 @@ class TestGradientIdentity:
                 assert fd == pytest.approx(ref.g_ref[j], rel=1e-6)
 
 
-def test_condition_report_bundle():
-    rep = condition_report([1.0, -1.0])
-    assert rep.cond_f == pytest.approx(COND_F_1_M1, rel=1e-13)
-    assert rep.cond_g_exact == pytest.approx(COND_G_1_M1, rel=1e-13)
-    assert rep.cond_g_upper == 2.0
-    assert rep.jacobian.shape == (2, 2)
+def test_condition_numbers_share_one_reference():
+    x = [1.0, -1.0]
+    ref = lse_softmax_reference(x)
+    assert cond_lse(x, ref) == pytest.approx(COND_F_1_M1, rel=1e-13)
+    exact, upper = cond_softmax(x, ref)
+    assert exact == pytest.approx(COND_G_1_M1, rel=1e-13)
+    assert upper == 2.0
+    G = softmax_jacobian(x, ref)
+    assert G.shape == (2, 2)
+    assert np.array_equal(G, softmax_jacobian(x))

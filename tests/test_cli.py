@@ -78,6 +78,16 @@ class TestAnalyze:
         res = json.loads(capsys.readouterr().out)
         assert res["cond_lse"] == math.inf or res["cond_lse"] > 1e14
 
+    def test_extreme_vector_overflows_quietly(self, capsys):
+        # x_j - y and the bound formulas overflow binary64; the factors are
+        # +inf and no RuntimeWarning reaches stderr (tier-1 makes them errors)
+        assert main(["analyze", "--x=-1e308,1e308", "--json"]) == 0
+        captured = capsys.readouterr()
+        res = json.loads(captured.out)
+        assert captured.err == ""
+        assert res["bounds"]["shifted_lse"] == math.inf
+        assert res["bounds"]["alt_softmax"] == math.inf
+
     def test_single_entry(self, capsys):
         assert main(["analyze", "--x", "5", "--json"]) == 0
         res = json.loads(capsys.readouterr().out)
@@ -145,6 +155,15 @@ def _exit_code(argv):
     pytest.param(["experiment", "--gen", "uniform:-20,20", "--n", "10",
                   "--count", "3", "--format", "fp64"], None,
                  id="experiment-format-not-measurable"),
+    # generator ranges beyond binary64: numpy raises OverflowError for these
+    pytest.param(["experiment", "--gen", "uniform:-1e308,1e308", "--format", "fp16"], None,
+                 id="gen-uniform-range-overflows"),
+    pytest.param(["experiment", "--gen", "uniform:-inf,0", "--format", "fp16"], None,
+                 id="gen-uniform-infinite-bound"),
+    pytest.param(["experiment", "--gen", "near-singular:1e308", "--format", "fp16"], None,
+                 id="gen-near-singular-range-overflows"),
+    pytest.param(["experiment", "--gen", "wide-spread:inf", "--format", "fp16"], None,
+                 id="gen-wide-spread-infinite"),
 ])
 def test_bad_input_exits_2_with_one_line(argv, csv_text, tmp_path, capsys):
     argv = [*argv, "--out", str(tmp_path / "run")] if argv[0] == "experiment" else argv

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from conftest import same_records, select
 from lselab.harness import (
     CSV_HEADER,
     DataSpec,
-    TrialRecord,
+    Records,
     emit_csv,
     emit_vectors_csv,
     generate,
@@ -15,7 +16,14 @@ from lselab.harness import (
     run_trial,
     summarize,
 )
+from lselab.kernels import (
+    FLAG_OVERFLOWED,
+    FLAG_PRODUCED_INF,
+    FLAG_PRODUCED_NAN,
+    FLAG_SUM_UNDERFLOWED,
+)
 from lselab.precision import format_params, round_to_format
+from lselab.quantities import KERNELS, QUANTITIES
 from lselab.svgplot import emit_svg_scatter
 
 FP16 = format_params("fp16")
@@ -115,31 +123,33 @@ class TestIngestCsv:
 class TestRunExperiment:
     def test_single_symmetric_vector(self):
         records = run_experiment([[0.0, 0.0]], FP16)
-        (r,) = records
-        assert r.y_ref == pytest.approx(math.log(2.0), abs=1e-15)
-        for err_f, bnd_f in (
-            ("err_lse_basic", "bnd_lse_basic"),
-            ("err_lse_shift", "bnd_lse_shift"),
-            ("err_sm_basic", "bnd_sm_basic"),
-            ("err_sm_shift", "bnd_sm_shift"),
-            ("err_sm_alt", "bnd_sm_alt"),
-            ("err_sm_altshift", "bnd_sm_altshift"),
-        ):
-            assert math.isfinite(getattr(r, err_f))
-            assert getattr(r, err_f) <= getattr(r, bnd_f)
+        assert len(records) == 1
+        cols = records.columns
+        assert cols["trial_id"].tolist() == [0] and cols["n"].tolist() == [2]
+        assert cols["y_ref"][0] == pytest.approx(math.log(2.0), abs=1e-15)
+        for q in QUANTITIES:
+            assert math.isfinite(cols[q.err][0])
+            assert cols[q.err][0] <= cols[q.bnd][0]
+
+    def test_columns_follow_the_csv_header(self):
+        records = run_experiment(generate(DataSpec("uniform", (-5.0, 5.0), 4, 3, 0)), FP16)
+        assert ",".join((*records.columns, "flags")) == CSV_HEADER
+        assert all(len(col) == 3 for col in records.columns.values())
+        assert list(records.flags) == list(KERNELS)
 
     def test_basic_overflow_shifted_clean(self):
         records = run_experiment([[12.0, 0.0, 1.0]], FP16)
-        (r,) = records
-        assert "overflowed" in r.flags["basic"]
-        assert r.flags["shifted"] == frozenset()
-        assert r.err_lse_basic == math.inf
-        assert math.isfinite(r.err_lse_shift)
+        assert records.flags["basic"][FLAG_OVERFLOWED].tolist() == [True]
+        assert not any(col[0] for col in records.flags["shifted"].values())
+        assert records.excluded("basic").tolist() == [True]
+        assert records.excluded("shifted").tolist() == [False]
+        assert records.columns["err_lse_basic"][0] == math.inf
+        assert math.isfinite(records.columns["err_lse_shift"][0])
 
     def test_constant_vector_softmax_sum(self):
         x = [-math.log(10.0)] * 10
-        (r,) = run_experiment([x], FP16)
-        assert r.sum_dev_basic <= 13.0
+        records = run_experiment([x], FP16)
+        assert records.columns["sum_dev_basic"][0] <= 13.0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -154,60 +164,60 @@ class TestRunExperiment:
         path = tmp_path / "ragged.csv"
         emit_vectors_csv(data, path)
         records = run_experiment(ingest_csv(path), FP16)
-        assert [r.trial_id for r in records] == list(range(len(data)))
-        alone = [run_trial(i, x, FP16) for i, x in enumerate(data)]
-        assert records == alone
-        assert "overflowed" in records[4].flags["basic"]
+        assert records.columns["trial_id"].tolist() == list(range(len(data)))
+        assert records.columns["n"].tolist() == [len(x) for x in data]
+        alone = [run_experiment([x], FP16) for x in data]
+        for i, rec in enumerate(alone):
+            assert same_records(select(records, [i], -i), rec), i
+        assert records.flags["basic"][FLAG_OVERFLOWED][4]
         emit_csv(records, tmp_path / "batched.csv")
-        emit_csv(alone, tmp_path / "alone.csv")
-        assert (tmp_path / "batched.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
+        lines = (tmp_path / "batched.csv").read_text().splitlines()
+        for i, rec in enumerate(alone):
+            emit_csv(rec, tmp_path / "alone.csv")
+            _, row = (tmp_path / "alone.csv").read_text().splitlines()
+            assert lines[i + 1] == f"{i}," + row.split(",", 1)[1]
 
     def test_trial_rounds_inputs(self):
         # unrounded input and its rounded twin give identical records
         x = [0.1234567, -3.3219]
-        r1 = run_trial(0, x, FP16)
-        r2 = run_trial(0, [round_to_format(v, FP16) for v in x], FP16)
-        assert r1 == r2
-        assert [r1] == run_experiment([x], FP16)
+        r1 = run_experiment([x], FP16)
+        r2 = run_experiment([[round_to_format(v, FP16) for v in x]], FP16)
+        assert same_records(r1, r2)
+        assert same_records(run_trial(5, x, FP16), select(r1, [0], 5))
+
+
+def _records(*errors, flags=None):
+    """Records of two-entry trials; trial i has lse errors ``errors[i]``
+    (basic, shifted), every other error 0, every bound 100."""
+    count = len(errors)
+    columns = {
+        "trial_id": np.arange(count),
+        "n": np.full(count, 2),
+        **{c: np.zeros(count) for c in CSV_HEADER.split(",")[2:-1]},
+    }
+    columns["xmax"][:], columns["xmin"][:], columns["y_ref"][:] = 1.0, -1.0, 1.0
+    columns["err_lse_basic"] = np.array([e[0] for e in errors], dtype=float)
+    columns["err_lse_shift"] = np.array([e[1] for e in errors], dtype=float)
+    columns["bnd_lse_basic"][:] = columns["bnd_lse_shift"][:] = 100.0
+    names = {
+        "basic": (FLAG_OVERFLOWED, FLAG_SUM_UNDERFLOWED),
+        "shifted": (),
+        "alt_basic": (FLAG_OVERFLOWED,),
+        "alt_shifted": (FLAG_OVERFLOWED,),
+    }
+    raised = flags or {}
+    return Records(columns, {
+        kernel: {
+            name: np.array([(i, kernel, name) in raised for i in range(count)])
+            for name in (*extra, FLAG_PRODUCED_INF, FLAG_PRODUCED_NAN)
+        }
+        for kernel, extra in names.items()
+    })
 
 
 class TestSummarize:
-    @staticmethod
-    def _record(trial_id, err_basic, err_shift):
-        kw = dict.fromkeys(
-            (
-                "err_sm_basic",
-                "bnd_sm_basic",
-                "err_sm_shift",
-                "bnd_sm_shift",
-                "err_sm_alt",
-                "bnd_sm_alt",
-                "err_sm_altshift",
-                "bnd_sm_altshift",
-                "sum_dev_basic",
-                "sum_dev_shift",
-                "sum_dev_alt",
-                "sum_dev_altshift",
-            ),
-            0.0,
-        )
-        return TrialRecord(
-            trial_id=trial_id,
-            n=2,
-            xmax=1.0,
-            xmin=-1.0,
-            y_ref=1.0,
-            err_lse_basic=err_basic,
-            bnd_lse_basic=100.0,
-            err_lse_shift=err_shift,
-            bnd_lse_shift=100.0,
-            flags={},
-            **kw,
-        )
-
     def test_pairwise_ratio_arithmetic(self):
-        records = [self._record(0, 2.0, 1.0), self._record(1, 1.0, 2.0)]
-        s = summarize(records)
+        s = summarize(_records((2.0, 1.0), (1.0, 2.0)))
         pair = s.pairs[0]
         assert pair.mean == pytest.approx(1.25)
         assert pair.min == 0.5
@@ -215,20 +225,32 @@ class TestSummarize:
         assert pair.geometric_mean == pytest.approx(1.0)
 
     def test_all_zero_errors_reports_na(self):
-        records = [self._record(0, 0.0, 0.0)]
-        s = summarize(records)
+        s = summarize(_records((0.0, 0.0)))
         assert s.pairs[0].count == 0
         assert s.pairs[0].mean is None
         assert s.total_bound_violations == 0
 
     def test_violation_detection(self):
-        r = self._record(0, 500.0, 1.0)  # bound is 100
-        s = summarize([r])
+        s = summarize(_records((500.0, 1.0)))  # bound is 100
         assert s.per_algorithm["lse_basic"].bound_violations == 1
+
+    def test_flagged_trials_are_excluded_and_overflow_counted(self):
+        # trial 0 overflowed on the basic path, trial 1 produced a NaN on
+        # the shifted path: each is left out of its own algorithm's
+        # statistics and violations, and only the overflow is counted as one
+        flags = {(0, "basic", FLAG_OVERFLOWED), (1, "shifted", FLAG_PRODUCED_NAN)}
+        s = summarize(_records((500.0, 1.0), (3.0, 700.0), (2.0, 4.0), flags=flags))
+        basic, shift = s.per_algorithm["lse_basic"], s.per_algorithm["lse_shift"]
+        assert (basic.finite_count, basic.max, basic.bound_violations) == (2, 3.0, 0)
+        assert (shift.finite_count, shift.max, shift.bound_violations) == (2, 4.0, 0)
+        assert (basic.overflow_count, shift.overflow_count) == (1, 0)
+        assert s.per_algorithm["sm_basic"].finite_count == 2
+        pair = s.pairs[0]  # only trial 2 is counted for both
+        assert (pair.count, pair.min, pair.max) == (1, 0.5, 0.5)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            summarize([])
+            summarize(_records())
 
     def test_conforming_run_has_zero_violations(self):
         spec = DataSpec("uniform", (-5.0, 5.0), 8, 60, 21)
@@ -245,11 +267,25 @@ class TestCsvEmit:
         lines = path.read_text().strip().split("\n")
         assert lines[0] == CSV_HEADER
         assert len(lines) == 11
-        for line, rec in zip(lines[1:], records):
+        header = lines[0].split(",")
+        for i, line in enumerate(lines[1:]):
             cells = line.split(",")
-            assert int(cells[0]) == rec.trial_id
-            assert float(cells[4]) == rec.y_ref  # exact round-trip
-            assert float(cells[5]) == rec.err_lse_basic
+            assert int(cells[0]) == records.columns["trial_id"][i] == i
+            for name, cell in zip(header[2:-1], cells[2:-1]):
+                assert float(cell) == records.columns[name][i]  # exact round-trip
+
+    def test_flags_cell(self, tmp_path):
+        records = run_experiment([[12.0, 0.0], [0.0, 0.0], [-800.0]], FP16)
+        path = tmp_path / "records.csv"
+        emit_csv(records, path)
+        cells = [line.rsplit(",", 1)[1] for line in path.read_text().splitlines()[1:]]
+        # per kernel in kernel order, its raised flags in sorted order
+        assert cells == [
+            "basic:overflowed+produced_inf+produced_nan;alt_basic:produced_inf",
+            "",
+            "basic:produced_inf+produced_nan+sum_underflowed_to_zero;"
+            "alt_basic:overflowed+produced_inf",
+        ]
 
     def test_vectors_round_trip_bit_exact(self, tmp_path):
         spec = DataSpec("uniform", (-20.0, 20.0), 10, 25, 8)
@@ -286,5 +322,7 @@ class TestSvgScatter:
         assert path.read_text().count("<circle") == 0
 
     def test_unknown_field_rejected(self, tmp_path):
+        records = run_experiment([[0.0, 1.0]], FP16)
         with pytest.raises(ValueError):
-            emit_svg_scatter([], "nope", "err_lse_basic", tmp_path / "x.svg")
+            emit_svg_scatter(records, "nope", "err_lse_basic", tmp_path / "x.svg")
+        assert not (tmp_path / "x.svg").exists()
