@@ -13,7 +13,6 @@ from .harness import (
     Records,
     Summary,
     emit_csv,
-    emit_vectors_csv,
     generate,
     ingest_csv,
     run_experiment,

@@ -51,7 +51,6 @@ __all__ = [
     "run_trial",
     "summarize",
     "emit_csv",
-    "emit_vectors_csv",
     "CSV_HEADER",
 ]
 
@@ -444,12 +443,3 @@ def emit_csv(records: Records | Summary, path: str | os.PathLike) -> None:
         columns = (records.columns[name].tolist() for name in _COLUMNS)
         for *values, flags in zip(*columns, _flag_cells(records)):
             fh.write(",".join((*map(repr, values), flags)) + "\n")
-
-
-def emit_vectors_csv(
-    vectors: Sequence[Sequence[float]], path: str | os.PathLike
-) -> None:
-    """Write input vectors, one per line; round-trips through ingest_csv."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for x in vectors:
-            fh.write(",".join(repr(float(v)) for v in x) + "\n")

@@ -10,6 +10,13 @@ the correctly rounded one (no double-rounding hazard).
 the same way (Higham & Pranesh, "Simulating low precision floating-point
 arithmetic", SIAM J. Sci. Comput., 2019), and ``ArithmeticContext`` applies it
 to array operands.
+
+``round_to_format`` rounds a nonzero value in a normal binade below the top
+one with a single binary64 addition, (x + C) - C, where C is a per-binade
+constant looked up by the ``math.frexp`` exponent (``FloatFormat.binade_constants``).
+Zeros, subnormal and flushed magnitudes, the top binade (where rounding may
+overflow), binades whose constant would overflow binary64, and every fp64
+value take the general path.
 """
 
 from __future__ import annotations
@@ -46,6 +53,42 @@ _CUSTOM_RE = re.compile(
     r"^custom:t=(-?\d+),emin=(-?\d+),emax=(-?\d+),subnormals=([01])$"
 )
 
+# math.frexp exponents of finite doubles lie in [-1073, 1024]; infinities,
+# NaN and zeros give 0.  Binade tables list exponents 0..1024 and then
+# -1073..-1, so that Python's negative indexing maps every exponent e to
+# its own entry: table[e].
+_FREXP_EXPONENTS = (*range(1025), *range(-1073, 0))
+
+
+@functools.lru_cache(maxsize=32)
+def _binade_constants(t: int, emin: int, emax: int) -> tuple[float | None, ...]:
+    """Rounding constants C = 1.5 * 2^(e - t + 52) by ``math.frexp`` exponent e.
+
+    An entry exists for each binade [2^(e-1), 2^e) that is normal
+    (emin <= e - 1) and not the top one (e - 1 < emax), when C fits binary64
+    (e - t + 52 <= 1023) and t <= 26; every other entry is None.  For x in
+    such a binade, (x + C) - C is x rounded to t bits, ties to even:
+
+    * C's binade [2^(e-t+52), 2^(e-t+53)) has binary64 spacing 2^(e-t), the
+      target ulp of x's binade;
+    * |x| < 2^e <= C/3 (true for t <= 51), so x + C stays in C's binade;
+    * the one binary64 addition rounds to nearest, ties to even, and
+      C / 2^(e-t) = 1.5 * 2^52 is even, so a tie goes to the same neighbour
+      that ties-to-even rounding of x itself picks;
+    * (x + C) - C is exact (both operands lie in one binade);
+    * a result of +-2^e is representable, because the top binade is excluded.
+
+    +-inf and NaN come back unchanged; a zero must take the general path to
+    keep its sign.  C is normal for every format ``format_params`` accepts
+    (emin - t + 1 >= -1074 gives e - t + 52 >= -1022).
+    """
+    return tuple(
+        math.ldexp(1.5, e - t + 52)
+        if t <= MAX_CUSTOM_PRECISION and emin <= e - 1 < emax and e - t + 52 <= 1023
+        else None
+        for e in _FREXP_EXPONENTS
+    )
+
 
 @dataclass(frozen=True)
 class FloatFormat:
@@ -79,6 +122,11 @@ class FloatFormat:
     @functools.cached_property
     def r_max(self) -> float:
         return math.ldexp(2.0 - math.ldexp(1.0, 1 - self.precision_bits), self.emax)
+
+    @functools.cached_property
+    def binade_constants(self) -> tuple[float | None, ...]:
+        """``round_to_format``'s constants, indexed by ``math.frexp`` exponent."""
+        return _binade_constants(self.precision_bits, self.emin, self.emax)
 
 
 def format_params(name: str) -> FloatFormat:
@@ -116,6 +164,9 @@ def round_to_format(x: float, fmt: FloatFormat) -> float:
     subnormal when the format supports them).  NaN maps to NaN.  The result
     is carried in binary64 and the map is idempotent.
     """
+    c = fmt.binade_constants[math.frexp(x)[1]]
+    if c is not None and x:
+        return (x + c) - c  # see _binade_constants
     if x != x or math.isinf(x) or x == 0.0:
         return x
     t = fmt.precision_bits

@@ -21,6 +21,13 @@ def match_3sf(computed: float, table) -> bool:
     return abs(computed - table) <= unit * (1.0 + 1e-9)
 
 
+def emit_vectors_csv(vectors, path) -> None:
+    """Write input vectors, one per line; round-trips through ``ingest_csv``."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for x in vectors:
+            fh.write(",".join(repr(float(v)) for v in x) + "\n")
+
+
 def same_records(a, b) -> bool:
     """Bit-for-bit equality of two ``Records``: every column and every flag."""
 

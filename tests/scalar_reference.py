@@ -2,9 +2,13 @@
 
 These are the evaluation algorithms as lselab ran them before its kernels
 took whole batches.  Every operation is computed with Python's binary64
-arithmetic and the ``math`` module and rounded by ``round_to_format``, so the
+arithmetic and the ``math`` module and rounded by ``round_reference``, so the
 batch kernels must reproduce their results bit for bit.  The oracle, in
 binary64 throughout, is kept as it ran before it took a batch.
+
+``round_reference`` is ``round_to_format`` as it was before its binade-table
+fast path: scaling by ``ldexp`` and Python's ``round`` (ties to even), with
+no lookup table, so it checks that path independently.
 """
 
 from __future__ import annotations
@@ -13,7 +17,40 @@ import math
 
 from lselab.kernels import EvalResult
 from lselab.oracle import Reference
-from lselab.precision import FloatFormat, round_to_format
+from lselab.precision import FloatFormat
+
+
+def round_reference(x: float, fmt: FloatFormat) -> float:
+    """Round a binary64 value to the nearest ``fmt``-representable value.
+
+    Ties to even.  Magnitudes beyond the overflow threshold map to +-inf,
+    magnitudes below the underflow threshold to +-0 (or the nearest
+    subnormal when the format supports them).  NaN maps to NaN.
+    """
+    if x != x or math.isinf(x) or x == 0.0:
+        return x
+    t = fmt.precision_bits
+    _, e = math.frexp(x)  # |x| in [2^(e-1), 2^e)
+    exp = e - 1
+    if exp < fmt.emin:
+        if not fmt.subnormals_enabled:
+            # Nearest of {0, +-r_min}; the tie at r_min/2 goes to 0 (even).
+            half = math.ldexp(1.0, fmt.emin - 1)
+            if abs(x) <= half:
+                return math.copysign(0.0, x)
+            return math.copysign(fmt.r_min, x)
+        # Below r_min nothing overflows; copysign keeps the sign of a zero.
+        shift = (t - 1) - fmt.emin
+        return math.copysign(math.ldexp(round(math.ldexp(x, shift)), -shift), x)
+    shift = (t - 1) - exp
+    k = round(math.ldexp(x, shift))
+    try:
+        r = math.ldexp(k, -shift)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+    if abs(r) > fmt.r_max:
+        return math.copysign(math.inf, x)
+    return r
 
 
 class ScalarContext:
@@ -21,7 +58,7 @@ class ScalarContext:
         self.fmt = fmt
 
     def round(self, x: float) -> float:
-        return round_to_format(x, self.fmt)
+        return round_reference(x, self.fmt)
 
     def add(self, a: float, b: float) -> float:
         return self.round(a + b)

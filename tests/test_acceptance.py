@@ -11,7 +11,6 @@ from lselab.cli import main as cli_main
 from lselab.harness import (
     DataSpec,
     emit_csv,
-    emit_vectors_csv,
     generate,
     ingest_csv,
     run_experiment,
@@ -36,7 +35,7 @@ def main_suite():
     return data, records
 
 
-from conftest import match_3sf, same_records, select
+from conftest import emit_vectors_csv, match_3sf, same_records, select
 
 
 def report(criterion, ok):

@@ -15,7 +15,17 @@ from lselab.kernels import lse_softmax_basic, lse_softmax_shifted, softmax_alt
 from lselab.oracle import lse_softmax_reference
 from lselab.precision import ArithmeticContext, chop, format_params, round_to_format
 
-FORMATS = ["fp16", "bfloat16", "fp32", "custom:t=5,emin=-6,emax=7,subnormals=0"]
+FORMATS = [
+    "fp16",
+    "bfloat16",
+    "fp32",
+    "fp64",  # no binade constants: every value takes the general path
+    "custom:t=5,emin=-6,emax=7,subnormals=0",
+    "custom:t=26,emin=-1000,emax=1023,subnormals=1",  # no constant above 2^997
+    "custom:t=8,emin=-1067,emax=10,subnormals=1",
+    "custom:t=3,emin=-2,emax=1023,subnormals=0",
+    "custom:t=11,emin=3,emax=9,subnormals=1",  # inf and NaN index [0.5, 1), below emin
+]
 
 
 def _bits(v: float) -> bytes:
@@ -33,7 +43,8 @@ def _edge_values(fmt) -> list[float]:
     vals = [0.0, math.inf, math.nan, 5e-324, 1.7976931348623157e308]
     for e in range(fmt.emin, fmt.emax + 1):
         half_ulp = math.ldexp(1.0, e - t)
-        for m in (1.0, 1.0 + math.ldexp(1.0, 1 - t)):  # tie rounds down, then up
+        # the tie rounds down, then up, then up out of its binade
+        for m in (1.0, 1.0 + math.ldexp(1.0, 1 - t), 2.0 - math.ldexp(1.0, 1 - t)):
             tie = math.ldexp(m, e) + half_ulp
             vals += [tie, math.nextafter(tie, 0.0), math.nextafter(tie, math.inf)]
     tie_over = fmt.r_max + math.ldexp(1.0, fmt.emax - t)
@@ -53,6 +64,7 @@ def test_chop_matches_round_to_format_on_edges(name):
     got = chop(np.array(vals), fmt).tolist()
     for v, c in zip(vals, got):
         r = round_to_format(v, fmt)
+        assert _same(r, ref.round_reference(v, fmt)), (name, v, r)
         assert _same(c, r), (name, v, c, r)
         assert _same(chop(v, fmt), r)  # a scalar rounds like a 1-entry array
 
@@ -66,7 +78,9 @@ def test_chop_matches_round_to_format_hypothesis(name):
     def check(vals):
         got = chop(np.array(vals, dtype=np.float64), fmt).tolist()
         for v, c in zip(vals, got):
-            assert _same(c, round_to_format(v, fmt)), (v, c)
+            r = round_to_format(v, fmt)
+            assert _same(r, ref.round_reference(v, fmt)), (v, r)
+            assert _same(c, r), (v, c)
 
     check()
 

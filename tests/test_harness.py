@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import same_records, select
+from conftest import emit_vectors_csv, same_records, select
 from lselab.harness import (
     CSV_HEADER,
     DataSpec,
     Records,
     emit_csv,
-    emit_vectors_csv,
     generate,
     ingest_csv,
     run_experiment,
