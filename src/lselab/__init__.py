@@ -1,7 +1,6 @@
 """Accuracy analysis toolkit for log-sum-exp and softmax in low precision."""
 
 from .analysis import (
-    BoundReport,
     bound_leading_term,
     cond_lse,
     cond_softmax,
@@ -20,7 +19,6 @@ from .harness import (
 )
 from .kernels import (
     BatchResult,
-    EvalResult,
     lse_softmax_basic,
     lse_softmax_shifted,
     softmax_alt,

@@ -8,16 +8,15 @@ first-order relative error bound of each algorithm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .oracle import Reference, lse_softmax_reference
+from .precision import as_batch
 from .quantities import QUANTITIES
 
 __all__ = [
-    "BoundReport",
     "ALGORITHM_IDS",
     "cond_lse",
     "softmax_jacobian",
@@ -32,26 +31,12 @@ ALGORITHM_IDS = tuple(
 )
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """Bound factor and its inputs; for a batch, every field after
-    ``algorithm_id`` except ``n`` is an array with one entry per row."""
-
-    algorithm_id: str
-    leading_factor: float
-    n: int
-    y: float
-    x_max: float
-    x_min: float
-    max_dev: float  # max_j |x_j - y|
-
-
 def cond_lse(x: Sequence[float], ref: Reference | None = None) -> float:
     """Condition number of log-sum-exp in the infinity norm; +inf when y = 0.
 
     ``ref`` is the oracle reference of ``x``, computed when not given.
     """
-    y = (ref or lse_softmax_reference(x)).y_ref
+    y = float((ref or lse_softmax_reference(x)).y_ref[0])
     xnorm = max(abs(v) for v in x)
     if y == 0.0:
         return math.inf
@@ -60,7 +45,7 @@ def cond_lse(x: Sequence[float], ref: Reference | None = None) -> float:
 
 def softmax_jacobian(x: Sequence[float], ref: Reference | None = None) -> np.ndarray:
     """Jacobian of softmax: diag(g) - g g^T, built from oracle-grade g."""
-    g = np.array((ref or lse_softmax_reference(x)).g_ref)
+    g = (ref or lse_softmax_reference(x)).g_ref[0]
     # one n x n array, bit for bit diag(g) - outer(g, g): -(g_i g_j) + 0.0
     # is 0 - g_i g_j (a product that underflows gives +0.0, not -0.0), and
     # the diagonal then adds g_i, since a - b is a + (-b)
@@ -78,7 +63,7 @@ def cond_softmax(x: Sequence[float], ref: Reference | None = None) -> tuple[floa
     ref = ref or lse_softmax_reference(x)
     G = softmax_jacobian(x, ref)
     xnorm = max(abs(v) for v in x)
-    gnorm = max(abs(v) for v in ref.g_ref)
+    gnorm = max(abs(v) for v in ref.g_ref[0].tolist())
     norm_G = float(np.max(np.sum(np.abs(G), axis=1)))
     exact = norm_G * xnorm / gnorm
     upper = len(x) * xnorm
@@ -121,18 +106,16 @@ def _leading_factor(
 
 
 def bound_leading_term(
-    algorithm_id: str, x: Sequence[float] | np.ndarray, y: float | np.ndarray | None = None
-) -> BoundReport:
-    """Leading error-bound factor (coefficient of u) for one algorithm.
+    algorithm_id: str, x: Sequence[float] | np.ndarray, y: np.ndarray | None = None
+) -> np.ndarray:
+    """Leading error-bound factor (coefficient of u) for one algorithm, one
+    entry per row of ``x``.
 
-    ``x`` is one vector or a (rows x n) batch.  For a batch, ``y`` and the
-    report's ``leading_factor``, ``y``, ``x_max``, ``x_min`` and ``max_dev``
-    are arrays with one entry per row.  ``y`` defaults to the oracle
-    reference log-sum-exp of ``x``; passing a precomputed reference avoids
-    re-running the oracle.
+    ``x`` is a (rows x n) batch or one vector, a one-row batch.  ``y`` holds
+    one log-sum-exp per row and defaults to the oracle reference of ``x``;
+    passing a precomputed reference avoids re-running the oracle.
     """
-    xs = np.asarray(x, dtype=np.float64)
-    rows = xs.reshape(-1, xs.shape[-1])
+    rows = as_batch(x)
     if y is None:
         y = lse_softmax_reference(rows).y_ref
     y = np.asarray(y, dtype=np.float64).reshape(-1)
@@ -142,10 +125,5 @@ def bound_leading_term(
     # y = 0 divides by zero, and x_j - y or a factor beyond binary64's range
     # overflows: both give +inf, the right value
     with np.errstate(divide="ignore", over="ignore"):
-        max_dev = np.abs(rows - y[:, None]).max(axis=1)
-        factor = _leading_factor(algorithm_id, n, y, x_max, x_min, max_dev)
-    fields = (factor, y, x_max, x_min, max_dev)
-    if xs.ndim == 1:
-        fields = [float(f[0]) for f in fields]
-    return BoundReport(algorithm_id, fields[0], n, *fields[1:])
-
+        max_dev = np.abs(rows - y[:, None]).max(axis=1)  # max_j |x_j - y|
+        return _leading_factor(algorithm_id, n, y, x_max, x_min, max_dev)

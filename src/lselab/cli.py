@@ -89,25 +89,18 @@ def cmd_eval(args) -> int:
     if not all(map(math.isfinite, x.tolist())):
         print(f"error: input vector is not finite when rounded to {args.format}", file=sys.stderr)
         return 2
-    res = evaluate(args.alg.replace("-", "_"), x, ArithmeticContext(fmt))
+    alg = args.alg.replace("-", "_")
+    res = evaluate(alg, x, ArithmeticContext(fmt))
+    y, g = float(res.y[0]), res.g[0].tolist()
+    flags = sorted(name for name, col in res.flags.items() if col[0])
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "algorithm": res.algorithm_id,
-                    "format": args.format,
-                    "y": res.y,
-                    "g": list(res.g),
-                    "flags": sorted(res.flags),
-                }
-            )
-        )
+        print(json.dumps({"algorithm": alg, "format": args.format, "y": y, "g": g, "flags": flags}))
     else:
-        print(f"algorithm: {res.algorithm_id}")
+        print(f"algorithm: {alg}")
         print(f"format: {args.format}")
-        print(f"y: {_fmt9(res.y)}")
-        print("g: [" + ", ".join(_fmt9(v) for v in res.g) + "]")
-        print("flags: " + (",".join(sorted(res.flags)) if res.flags else "none"))
+        print(f"y: {_fmt9(y)}")
+        print("g: [" + ", ".join(_fmt9(v) for v in g) + "]")
+        print("flags: " + (",".join(flags) if flags else "none"))
     return 0
 
 
@@ -117,9 +110,7 @@ def cmd_analyze(args) -> int:
     cf = cond_lse(x, ref)
     cg_exact, cg_upper = cond_softmax(x, ref)
     lo, hi = y_range(x)
-    bounds = {
-        aid: bound_leading_term(aid, x, y=ref.y_ref).leading_factor for aid in ALGORITHM_IDS
-    }
+    bounds = {aid: float(bound_leading_term(aid, x, y=ref.y_ref)[0]) for aid in ALGORITHM_IDS}
     if args.json:
         print(
             json.dumps(
@@ -171,7 +162,7 @@ def cmd_experiment(args) -> int:
             data = ingest_csv(args.csv)
         else:
             spec = _parse_genspec(args.gen, args.n, args.count, args.seed)
-            data = generate(spec, fmt)
+            data = generate(spec)
         records = run_experiment(data, fmt)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

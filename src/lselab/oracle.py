@@ -6,8 +6,9 @@ roughly full binary64 accuracy.  That leaves >= 2^20 precision headroom
 over every sub-double target format, so scaled errors measured against it
 are meaningful for fp16, bfloat16 and fp32 -- but not for fp64 itself.
 
-``lse_softmax_reference`` takes one vector or a (rows x n) batch; the
-experiment engine calls it once per batch of equal-length vectors.
+``lse_softmax_reference`` takes a (rows x n) batch, one vector being a
+one-row batch; the experiment engine calls it once per batch of
+equal-length vectors.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .precision import FloatFormat
+from .precision import FloatFormat, as_batch
 
 __all__ = [
     "Reference",
@@ -37,28 +38,22 @@ _MIN_MEASURABLE_U = math.ldexp(1.0, 20 - 53)
 
 @dataclass(frozen=True)
 class Reference:
-    """The oracle's log-sum-exp and softmax: a float and a tuple for one
-    vector, arrays for a batch."""
+    """The oracle's log-sum-exp, one entry per row, and softmax, one row
+    per vector."""
 
-    y_ref: float | np.ndarray
-    g_ref: tuple[float, ...] | np.ndarray
+    y_ref: np.ndarray
+    g_ref: np.ndarray
 
 
 def lse_softmax_reference(x) -> Reference:
     """Binary64 shifted evaluation with compensated summation.
 
-    ``x`` is one vector or a (rows x n) batch.  For a batch, ``y_ref`` is an
-    array with one entry per row and ``g_ref`` a (rows x n) array.  Each row
-    gets the same operations as a single vector: every x_i - a is one
-    binary64 subtraction and every exp a C-library ``exp``, and the two sums
-    are exact (``math.fsum``), so a row's result does not depend on the batch.
+    ``x`` is a (rows x n) batch or one vector, a one-row batch.  Every
+    x_i - a is one binary64 subtraction and every exp a C-library ``exp``,
+    and the two sums are exact (``math.fsum``), so a row's result does not
+    depend on the batch.
     """
-    xs = np.asarray(x, dtype=np.float64)
-    if xs.ndim not in (1, 2) or xs.shape[-1] == 0:
-        raise ValueError("input vector must have length >= 1")
-    if not np.isfinite(xs).all():
-        raise ValueError("input vector entries must be finite")
-    rows = xs.reshape(-1, xs.shape[-1])
+    rows = as_batch(x)
     n = rows.shape[1]
     k = rows.argmax(axis=1)  # the pivot: the first index attaining the maximum
     a = rows[np.arange(len(rows)), k]
@@ -76,8 +71,6 @@ def lse_softmax_reference(x) -> Reference:
         s.append(math.fsum(row))
     y = a + np.array(list(map(math.log1p, s)))
     g = np.array(w).reshape(rows.shape) / np.array(denom)[:, None]
-    if xs.ndim == 1:
-        return Reference(float(y[0]), tuple(g[0].tolist()))
     return Reference(y, g)
 
 

@@ -34,6 +34,7 @@ __all__ = [
     "format_params",
     "round_to_format",
     "chop",
+    "as_batch",
     "NAMED_FORMATS",
 ]
 
@@ -217,6 +218,20 @@ def chop(x, fmt: FloatFormat):
     return r[()]  # the array itself, or the scalar of a 0-d array
 
 
+def as_batch(x) -> np.ndarray:
+    """One vector or a (rows x n) batch as a (rows x n) float64 array.
+
+    One vector is a one-row batch.  An empty vector, an array of any other
+    shape, or a non-finite entry raises ``ValueError``.
+    """
+    xs = np.asarray(x, dtype=np.float64)
+    if xs.ndim not in (1, 2) or xs.shape[-1] == 0:
+        raise ValueError("input vector must have length >= 1")
+    if not np.isfinite(xs).all():
+        raise ValueError("input vector entries must be finite")
+    return xs.reshape(-1, xs.shape[-1])
+
+
 def _ieee_exp(a: float) -> float:
     try:
         return math.exp(a)
@@ -268,10 +283,6 @@ class ArithmeticContext:
     """
 
     fmt: FloatFormat
-
-    @property
-    def unit_roundoff(self) -> float:
-        return self.fmt.unit_roundoff
 
     def _binop(self, op, a, b):
         with np.errstate(all="ignore"):  # inf and NaN results are the point

@@ -15,7 +15,7 @@ __all__ = ["Quantity", "QUANTITIES", "KERNELS", "SUM_DEV_COLUMNS"]
 class Quantity:
     stem: str  # summary key; "lse_<variant>" measures y, "sm_<variant>" g
     bound_id: str  # analysis.bound_leading_term id
-    kernel: str  # EvalResult.algorithm_id of the measured output
+    kernel: str  # kernels.evaluate id of the kernel whose output is measured
     ratio_to: str | None = None  # summary ratio err_<stem> / err_<ratio_to>
     # Column names, built once at import so that no trial formats a string.
     lse: bool = field(init=False)

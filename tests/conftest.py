@@ -21,6 +21,11 @@ def match_3sf(computed: float, table) -> bool:
     return abs(computed - table) <= unit * (1.0 + 1e-9)
 
 
+def raised(result, i: int = 0) -> set[str]:
+    """The flags a kernel's ``BatchResult`` raised on row ``i``."""
+    return {name for name, col in result.flags.items() if col[i]}
+
+
 def emit_vectors_csv(vectors, path) -> None:
     """Write input vectors, one per line; round-trips through ``ingest_csv``."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -28,18 +33,29 @@ def emit_vectors_csv(vectors, path) -> None:
             fh.write(",".join(repr(float(v)) for v in x) + "\n")
 
 
+def same_array(x, y) -> bool:
+    """Bit-for-bit equality of two arrays, dtype and shape included."""
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def same_result(a, b) -> bool:
+    """Bit-for-bit equality of two ``BatchResult``s: y, g and every flag column."""
+    return (
+        same_array(a.y, b.y)
+        and same_array(a.g, b.g)
+        and a.flags.keys() == b.flags.keys()
+        and all(same_array(col, b.flags[name]) for name, col in a.flags.items())
+    )
+
+
 def same_records(a, b) -> bool:
     """Bit-for-bit equality of two ``Records``: every column and every flag."""
-
-    def same(x, y) -> bool:
-        return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
-
     return (
         a.columns.keys() == b.columns.keys()
-        and all(same(a.columns[k], b.columns[k]) for k in a.columns)
+        and all(same_array(a.columns[k], b.columns[k]) for k in a.columns)
         and a.flags.keys() == b.flags.keys()
         and all(a.flags[k].keys() == b.flags[k].keys() for k in a.flags)
-        and all(same(col, b.flags[k][f]) for k, fl in a.flags.items() for f, col in fl.items())
+        and all(same_array(col, b.flags[k][f]) for k, fl in a.flags.items() for f, col in fl.items())
     )
 
 

@@ -14,10 +14,18 @@ no lookup table, so it checks that path independently.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 
-from lselab.kernels import EvalResult
-from lselab.oracle import Reference
 from lselab.precision import FloatFormat
+
+
+@dataclass
+class Result:
+    """One vector's log-sum-exp ``y``, softmax ``g`` and raised flags."""
+
+    y: float
+    g: list[float]
+    flags: set[str] = field(default_factory=set)
 
 
 def round_reference(x: float, fmt: FloatFormat) -> float:
@@ -103,7 +111,7 @@ def _result_flags(y: float, g: list[float], flags: set[str]) -> set[str]:
     return flags
 
 
-def lse_softmax_basic(x: list[float], ctx: ScalarContext) -> EvalResult:
+def lse_softmax_basic(x: list[float], ctx: ScalarContext) -> Result:
     flags: set[str] = set()
     w = [ctx.exp(xi) for xi in x]
     s = w[0]
@@ -115,10 +123,10 @@ def lse_softmax_basic(x: list[float], ctx: ScalarContext) -> EvalResult:
         flags.add("sum_underflowed_to_zero")
     y = ctx.log(s)
     g = [ctx.div(wi, s) for wi in w]
-    return EvalResult(y, g, _result_flags(y, g, flags), "basic")
+    return Result(y, g, _result_flags(y, g, flags))
 
 
-def lse_softmax_shifted(x: list[float], ctx: ScalarContext) -> EvalResult:
+def lse_softmax_shifted(x: list[float], ctx: ScalarContext) -> Result:
     a = max(x)
     k = x.index(a)
     w = [ctx.exp(ctx.sub(xi, a)) for xi in x]
@@ -129,25 +137,22 @@ def lse_softmax_shifted(x: list[float], ctx: ScalarContext) -> EvalResult:
     y = ctx.add(a, ctx.log1p(s))
     one_plus_s = ctx.add(1.0, s)
     g = [ctx.div(wi, one_plus_s) for wi in w]
-    return EvalResult(y, g, _result_flags(y, g, set()), "shifted")
+    return Result(y, g, _result_flags(y, g, set()))
 
 
-def softmax_alt(
-    x: list[float], y: float, ctx: ScalarContext, from_shifted: bool = False
-) -> EvalResult:
+def softmax_alt(x: list[float], y: float, ctx: ScalarContext) -> Result:
     flags: set[str] = set()
     g = [ctx.exp(ctx.sub(xj, y)) for xj in x]
     if any(math.isinf(gj) for gj in g):
         flags.add("overflowed")
-    algorithm_id = "alt_shifted" if from_shifted else "alt_basic"
-    return EvalResult(y, g, _result_flags(y, g, flags), algorithm_id)
+    return Result(y, g, _result_flags(y, g, flags))
 
 
-def lse_softmax_reference(x: list[float]) -> Reference:
+def lse_softmax_reference(x: list[float]) -> Result:
     a = max(x)
     k = x.index(a)
     w = [math.exp(xi - a) for xi in x]
     s = math.fsum(wi for i, wi in enumerate(w) if i != k)
     y = a + math.log1p(s)
     denom = math.fsum([1.0, *(wi for i, wi in enumerate(w) if i != k)])
-    return Reference(y, tuple(wi / denom for wi in w))
+    return Result(y, [wi / denom for wi in w])

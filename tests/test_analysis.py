@@ -26,7 +26,7 @@ class TestCondLse:
         c = -math.log(4.0)
         # force an exactly-zero reference by symmetry of the construction
         x = [c, c, c, c]
-        y = lse_softmax_reference(x).y_ref
+        y = lse_softmax_reference(x).y_ref[0]
         assert abs(y) < 1e-15
         if y == 0.0:
             assert cond_lse(x) == math.inf
@@ -103,40 +103,34 @@ class TestYRange:
 
 class TestBoundLeadingTerm:
     def test_basic_lse(self):
-        rep = bound_leading_term("basic_lse", [1.0, -1.0])
-        assert rep.leading_factor == pytest.approx(BND_LSE_1_M1, rel=1e-13)
-        assert rep.n == 2
-        assert rep.x_max == 1.0
-        assert rep.x_min == -1.0
+        factor = bound_leading_term("basic_lse", [1.0, -1.0])
+        assert factor.shape == (1,)
+        assert factor[0] == pytest.approx(BND_LSE_1_M1, rel=1e-13)
 
     def test_shifted_lse(self):
-        rep = bound_leading_term("shifted_lse", [1.0, -1.0])
-        assert rep.leading_factor == pytest.approx(BND_LSE_1_M1, rel=1e-13)
+        factor = bound_leading_term("shifted_lse", [1.0, -1.0])
+        assert factor[0] == pytest.approx(BND_LSE_1_M1, rel=1e-13)
 
     def test_basic_softmax_is_input_independent(self):
-        rep = bound_leading_term("basic_softmax", list(range(10)))
-        assert rep.leading_factor == 13.0
+        assert bound_leading_term("basic_softmax", list(range(10))).tolist() == [13.0]
 
     def test_alt_formulas(self):
         x = [1.0, -1.0]
         y = LSE_1_M1
         max_dev = max(abs(1.0 - y), abs(-1.0 - y))
-        alt = bound_leading_term("alt_softmax", x)
-        assert alt.leading_factor == pytest.approx(abs(y) + max_dev + 4.0, rel=1e-12)
-        alts = bound_leading_term("alt_shifted_softmax", x)
-        assert alts.leading_factor == pytest.approx(
-            1.0 + max_dev + abs(y + 2.0 + 1.0), rel=1e-12
-        )
+        alt = bound_leading_term("alt_softmax", x)[0]
+        assert alt == pytest.approx(abs(y) + max_dev + 4.0, rel=1e-12)
+        alts = bound_leading_term("alt_shifted_softmax", x)[0]
+        assert alts == pytest.approx(1.0 + max_dev + abs(y + 2.0 + 1.0), rel=1e-12)
 
     def test_shifted_softmax(self):
-        rep = bound_leading_term("shifted_softmax", [1.0, -1.0])
-        assert rep.leading_factor == pytest.approx(2 + 2 + 2 * 2.0, rel=1e-15)
+        factor = bound_leading_term("shifted_softmax", [1.0, -1.0])[0]
+        assert factor == pytest.approx(2 + 2 + 2 * 2.0, rel=1e-15)
 
     def test_zero_lse_gives_infinite_factor(self):
         c = -math.log(4.0)
         for aid in ("basic_lse", "shifted_lse"):
-            rep = bound_leading_term(aid, [c, c, c, c])
-            assert rep.leading_factor > 1e14
+            assert bound_leading_term(aid, [c, c, c, c])[0] > 1e14
 
     def test_softmax_factors_at_least_one(self):
         rng = np.random.default_rng(31)
@@ -145,33 +139,33 @@ class TestBoundLeadingTerm:
             x = rng.uniform(-10, 10, n).tolist()
             for aid in ("basic_softmax", "shifted_softmax", "alt_softmax",
                         "alt_shifted_softmax"):
-                assert bound_leading_term(aid, x).leading_factor >= 1.0
+                assert bound_leading_term(aid, x)[0] >= 1.0
 
     def test_unknown_id_rejected(self):
         with pytest.raises(ValueError):
             bound_leading_term("fancy", [1.0])
 
+    @pytest.mark.parametrize("x", [[], [1.0, math.inf], [math.nan], [[]]])
+    def test_bad_input_rejected_like_the_kernels(self, x):
+        with pytest.raises(ValueError, match="input vector"):
+            bound_leading_term("basic_lse", x, y=[0.0])
+
     def test_precomputed_y_shortcut(self):
         x = [0.5, -0.25, 3.0]
         y = lse_softmax_reference(x).y_ref
         for aid in ALGORITHM_IDS:
-            assert (
-                bound_leading_term(aid, x, y=y).leading_factor
-                == bound_leading_term(aid, x).leading_factor
-            )
-
+            assert bound_leading_term(aid, x, y=y).tolist() == bound_leading_term(aid, x).tolist()
 
     def test_batch_matches_each_row(self):
         rng = np.random.default_rng(5)
         xs = rng.uniform(-30.0, 30.0, (7, 6))
         xs[2] = -math.log(6.0)  # y = 0: infinite lse factors
-        ys = [lse_softmax_reference(row).y_ref for row in xs.tolist()]
+        ys = [float(lse_softmax_reference(row).y_ref[0]) for row in xs.tolist()]
         for aid in ALGORITHM_IDS:
-            rep = bound_leading_term(aid, xs, np.array(ys))
+            factors = bound_leading_term(aid, xs, np.array(ys))
             rows = [bound_leading_term(aid, row, y=y) for row, y in zip(xs.tolist(), ys)]
-            assert rep.leading_factor.tolist() == [r.leading_factor for r in rows]
-            assert rep.max_dev.tolist() == [r.max_dev for r in rows]
-            assert bound_leading_term(aid, xs).leading_factor.tolist() == rep.leading_factor.tolist()
+            assert factors.tolist() == [f for r in rows for f in r.tolist()]
+            assert bound_leading_term(aid, xs).tolist() == factors.tolist()
 
 class TestGradientIdentity:
     def test_finite_difference_matches_softmax(self):
@@ -184,20 +178,20 @@ class TestGradientIdentity:
         for _ in range(25):
             n = int(rng.integers(1, 21))
             x = rng.uniform(-10, 10, n).tolist()
-            ref = lse_softmax_reference(x)
+            g = lse_softmax_reference(x).g_ref[0]
             for j in range(n):
                 # FD noise is ~ulp(y)/(2h) ~ 2e-9 in absolute terms; only
                 # components well above it can meet a 1e-6 relative tolerance
-                if ref.g_ref[j] < 1e-2:
+                if g[j] < 1e-2:
                     continue
                 xp = list(x)
                 xm = list(x)
                 xp[j] += h
                 xm[j] -= h
                 fd = (
-                    lse_softmax_reference(xp).y_ref - lse_softmax_reference(xm).y_ref
+                    lse_softmax_reference(xp).y_ref[0] - lse_softmax_reference(xm).y_ref[0]
                 ) / (2 * h)
-                assert fd == pytest.approx(ref.g_ref[j], rel=1e-6)
+                assert fd == pytest.approx(g[j], rel=1e-6)
 
 
 def test_condition_numbers_share_one_reference():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalar_reference as ref
+from conftest import raised, same_result
 from lselab.analysis import softmax_jacobian
 from lselab.harness import DataSpec, _generate_one, generate
 from lselab.kernels import lse_softmax_basic, lse_softmax_shifted, softmax_alt
@@ -99,13 +100,12 @@ def _rows(fmt_name: str, rng: np.random.Generator, n: int) -> list[list[float]]:
     return [r.tolist() for r in rows]
 
 
-def _check_row(batch, i, want):
-    got = batch.row(i)
-    assert _same(got.y, want.y), (batch.algorithm_id, i, got.y, want.y)
-    assert len(got.g) == len(want.g)
-    assert all(_same(a, b) for a, b in zip(got.g, want.g)), (batch.algorithm_id, i)
-    assert got.flags == want.flags, (batch.algorithm_id, i)
-    assert got.algorithm_id == want.algorithm_id
+def _check_row(batch, i, want, label):
+    y, g = float(batch.y[i]), batch.g[i].tolist()
+    assert _same(y, want.y), (label, i, y, want.y)
+    assert len(g) == len(want.g)
+    assert all(_same(a, b) for a, b in zip(g, want.g)), (label, i)
+    assert raised(batch, i) == want.flags, (label, i)
 
 
 @pytest.mark.parametrize("fmt_name", ["fp16", "bfloat16"])
@@ -118,15 +118,15 @@ def test_batch_kernels_match_scalar_kernels(fmt_name, n):
     basic = lse_softmax_basic(xs, ctx)
     shifted = lse_softmax_shifted(xs, ctx)
     alt_b = softmax_alt(xs, basic.y, ctx)
-    alt_s = softmax_alt(xs, shifted.y, ctx, from_shifted=True)
+    alt_s = softmax_alt(xs, shifted.y, ctx)
     flagged = set()
     for i, x in enumerate(xs.tolist()):
         want_basic = ref.lse_softmax_basic(x, sctx)
         want_shifted = ref.lse_softmax_shifted(x, sctx)
-        _check_row(basic, i, want_basic)
-        _check_row(shifted, i, want_shifted)
-        _check_row(alt_b, i, ref.softmax_alt(x, want_basic.y, sctx))
-        _check_row(alt_s, i, ref.softmax_alt(x, want_shifted.y, sctx, from_shifted=True))
+        _check_row(basic, i, want_basic, "basic")
+        _check_row(shifted, i, want_shifted, "shifted")
+        _check_row(alt_b, i, ref.softmax_alt(x, want_basic.y, sctx), "alt_basic")
+        _check_row(alt_s, i, ref.softmax_alt(x, want_shifted.y, sctx), "alt_shifted")
         flagged |= want_basic.flags
     # the batches reach both pathologies the rows were built for
     assert "overflowed" in flagged
@@ -139,8 +139,11 @@ def test_single_vector_is_a_one_row_batch():
     x = [round_to_format(v, fmt) for v in (3.3, -1.7, 12.5, 0.4)]
     for kernel in (lse_softmax_basic, lse_softmax_shifted):
         one, batch = kernel(x, ctx), kernel(np.array([x]), ctx)
-        assert isinstance(one.y, float) and isinstance(one.g, list)
-        _check_row(batch, 0, one)
+        assert one.y.shape == (1,) and one.g.shape == (1, len(x))
+        assert same_result(one, batch), kernel.__name__
+        alt_one, alt_batch = softmax_alt(x, one.y, ctx), softmax_alt(np.array([x]), batch.y, ctx)
+        assert alt_one.g.shape == (1, len(x))
+        assert same_result(alt_one, alt_batch), kernel.__name__
 
 
 def _oracle_rows() -> list[list[float]]:
@@ -157,9 +160,9 @@ def _oracle_rows() -> list[list[float]]:
 
 
 def _check_reference(got: float, got_g, want) -> None:
-    assert _same(got, want.y_ref), (got, want.y_ref)
-    assert len(got_g) == len(want.g_ref)
-    assert all(_same(a, b) for a, b in zip(got_g, want.g_ref))
+    assert _same(got, want.y), (got, want.y)
+    assert len(got_g) == len(want.g)
+    assert all(_same(a, b) for a, b in zip(got_g, want.g))
 
 
 def test_batch_oracle_matches_per_row_oracle():
@@ -169,8 +172,8 @@ def test_batch_oracle_matches_per_row_oracle():
         want = ref.lse_softmax_reference(row)
         _check_reference(float(batch.y_ref[i]), batch.g_ref[i].tolist(), want)
         one = lse_softmax_reference(row)
-        assert isinstance(one.y_ref, float) and isinstance(one.g_ref, tuple)
-        _check_reference(one.y_ref, one.g_ref, want)
+        assert one.y_ref.shape == (1,) and one.g_ref.shape == (1, len(row))
+        _check_reference(float(one.y_ref[0]), one.g_ref[0].tolist(), want)
 
 
 @pytest.mark.parametrize("x", [[0.0], [-800.0], [1e308], [-0.0]])
@@ -211,6 +214,6 @@ def test_jacobian_matches_diag_minus_outer_bitwise():
     rows = [rng.uniform(-20.0, 20.0, n).tolist() for n in (1, 2, 7, 40)]
     rows += [[0.0, -800.0, -745.0, -700.0, -1e3], [0.0, -400.0, -380.0]]  # g_i or g_i g_j underflow
     for x in rows:
-        g = np.array(ref.lse_softmax_reference(x).g_ref)
+        g = np.array(ref.lse_softmax_reference(x).g)
         want = np.diag(g) - np.outer(g, g)
         assert softmax_jacobian(x).tobytes() == want.tobytes(), x

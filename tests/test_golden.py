@@ -3,8 +3,9 @@
 Each suite runs ``lselab experiment`` through ``cli.main`` and checks the
 sha256 of every file it writes (records CSV, summary CSV and SVGs) and its
 exit code against values recorded when the outputs were last known good.
-A change that alters any of them is a behaviour change: if it is meant,
-say so and record the new digests.
+One more digest covers the exit code, stdout and stderr of a sweep of
+``eval`` and ``analyze`` calls.  A change that alters any of them is a
+behaviour change: if it is meant, say so and record the new digests.
 """
 
 import hashlib
@@ -82,3 +83,34 @@ def test_experiment_outputs_match_frozen_digests(suite, tmp_path, capsys):
         for p in sorted(tmp_path.glob("run*"))
     }
     assert {"exit": code, **digests} == GOLDEN[suite]
+
+
+def _long_vector() -> str:
+    """512 entries from a stdlib stream, stable across numpy versions."""
+    r = random.Random(11)
+    return ",".join(repr(r.uniform(-30.0, 30.0)) for _ in range(512))
+
+
+# -800: the basic sum underflows to zero, so eval raises flags whose sorted
+# order differs from the order the kernel sets them in
+SINGLE_VECTORS = ["1,-1", "7.40625,7.83984375", "-0.0,0.0", "1e308,-1e308", "5", "-800",
+                  _long_vector()]
+EVAL_FORMATS = ["fp16", "bfloat16", "fp32", "fp64", "custom:t=5,emin=-6,emax=7,subnormals=0"]
+EVAL_ANALYZE_SHA256 = "b64e6a9ca450d6ad4c295e86a8a77463507c0c2edee8033d9f1b251e318e6567"
+
+
+def test_eval_and_analyze_outputs_match_frozen_digest(capsys):
+    calls = [
+        ["eval", "--alg", alg, "--format", fmt, f"--x={x}", *json]
+        for x in SINGLE_VECTORS
+        for fmt in EVAL_FORMATS
+        for alg in ("basic", "shifted", "alt-basic", "alt-shifted")
+        for json in ([], ["--json"])
+    ]
+    calls += [["analyze", f"--x={x}", *json] for x in SINGLE_VECTORS for json in ([], ["--json"])]
+    h = hashlib.sha256()
+    for argv in calls:
+        code = main(argv)
+        out, err = capsys.readouterr()
+        h.update(f"{code}\0{out}\0{err}\0".encode())
+    assert h.hexdigest() == EVAL_ANALYZE_SHA256

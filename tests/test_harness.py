@@ -75,12 +75,6 @@ class TestGenerate:
         for x in generate(spec):
             assert 27.0 <= max(x) - min(x) <= 33.0
 
-    def test_pre_rounding_to_format(self):
-        spec = DataSpec("uniform", (-20.0, 20.0), 10, 10, 4)
-        for x in generate(spec, FP16):
-            for v in x:
-                assert round_to_format(v, FP16) == v
-
 
 class TestIngestCsv:
     def test_parses_vectors(self, tmp_path):
@@ -253,14 +247,14 @@ class TestSummarize:
 
     def test_conforming_run_has_zero_violations(self):
         spec = DataSpec("uniform", (-5.0, 5.0), 8, 60, 21)
-        records = run_experiment(generate(spec, FP16), FP16)
+        records = run_experiment(generate(spec), FP16)
         assert summarize(records).total_bound_violations == 0
 
 
 class TestCsvEmit:
     def test_records_round_trip_values(self, tmp_path):
         spec = DataSpec("uniform", (-10.0, 10.0), 6, 10, 5)
-        records = run_experiment(generate(spec, FP16), FP16)
+        records = run_experiment(generate(spec), FP16)
         path = tmp_path / "records.csv"
         emit_csv(records, path)
         lines = path.read_text().strip().split("\n")
@@ -295,7 +289,7 @@ class TestCsvEmit:
 
     def test_summary_emission(self, tmp_path):
         spec = DataSpec("uniform", (-5.0, 5.0), 4, 5, 1)
-        records = run_experiment(generate(spec, FP16), FP16)
+        records = run_experiment(generate(spec), FP16)
         path = tmp_path / "summary.csv"
         emit_csv(summarize(records), path)
         text = path.read_text()
@@ -306,7 +300,7 @@ class TestCsvEmit:
 class TestSvgScatter:
     def test_scatter_with_reference_line(self, tmp_path):
         spec = DataSpec("uniform", (-5.0, 5.0), 6, 20, 2)
-        records = run_experiment(generate(spec, FP16), FP16)
+        records = run_experiment(generate(spec), FP16)
         path = tmp_path / "plot.svg"
         emit_svg_scatter(records, "bnd_lse_shift", "err_lse_shift", path)
         text = path.read_text()

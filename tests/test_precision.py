@@ -284,10 +284,6 @@ class TestArithmeticContext:
 
         check()
 
-    def test_unit_roundoff_property(self, fp16):
-        assert ArithmeticContext(fp16).unit_roundoff == 2.0**-11
-        assert ArithmeticContext(format_params("fp64")).unit_roundoff == 2.0**-53
-
     def test_format_immutable(self, fp16):
         with pytest.raises(Exception):
             fp16.precision_bits = 10
