@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .oracle import Reference, lse_softmax_reference
-from .precision import as_batch
+from .precision import as_batch, per_row
 from .quantities import QUANTITIES
 
 __all__ = [
@@ -112,13 +112,14 @@ def bound_leading_term(
     entry per row of ``x``.
 
     ``x`` is a (rows x n) batch or one vector, a one-row batch.  ``y`` holds
-    one log-sum-exp per row and defaults to the oracle reference of ``x``;
-    passing a precomputed reference avoids re-running the oracle.
+    one log-sum-exp per row (any other length raises ``ValueError``) and
+    defaults to the oracle reference of ``x``; passing a precomputed
+    reference avoids re-running the oracle.
     """
     rows = as_batch(x)
     if y is None:
         y = lse_softmax_reference(rows).y_ref
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
+    y = per_row(y, rows)
     n = rows.shape[1]
     x_max = rows.max(axis=1)
     x_min = rows.min(axis=1)

@@ -44,7 +44,7 @@ def _fmt9(v: float) -> str:
 
 def _parse_vector(text: str) -> list[float]:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        return [float(tok) for tok in text.split(",")]  # an empty field raises
     except ValueError as exc:
         print(f"error: --x: {exc}", file=sys.stderr)
         raise SystemExit(2)

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .precision import ArithmeticContext, FloatFormat, as_batch, round_to_format
+from .precision import ArithmeticContext, FloatFormat, as_batch, per_row, round_to_format
 from .quantities import KERNELS
 
 __all__ = [
@@ -102,10 +102,11 @@ def lse_softmax_shifted(x, ctx: ArithmeticContext) -> BatchResult:
 def softmax_alt(x, y, ctx: ArithmeticContext) -> BatchResult:
     """Division-free softmax g_j = exp(x_j - y) for a precomputed log-sum-exp.
 
-    ``y`` holds one log-sum-exp per row, from either log-sum-exp kernel.
+    ``y`` holds one log-sum-exp per row, from either log-sum-exp kernel;
+    any other length raises ``ValueError``.
     """
     xs = as_batch(x)
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
+    y = per_row(y, xs)
     g = ctx.exp(ctx.sub(xs, y[:, None]))
     return _result(y, g, {FLAG_OVERFLOWED: np.isinf(g).any(axis=1)})
 

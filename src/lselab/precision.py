@@ -6,17 +6,17 @@ target formats with at most 26 significand bits the binary64 intermediate
 carries more than twice the target precision, so the rounded binop result is
 the correctly rounded one (no double-rounding hazard).
 
-``round_to_format`` rounds one value; ``chop`` rounds a whole float64 array
-the same way (Higham & Pranesh, "Simulating low precision floating-point
-arithmetic", SIAM J. Sci. Comput., 2019), and ``ArithmeticContext`` applies it
-to array operands.
-
-``round_to_format`` rounds a nonzero value in a normal binade below the top
-one with a single binary64 addition, (x + C) - C, where C is a per-binade
-constant looked up by the ``math.frexp`` exponent (``FloatFormat.binade_constants``).
-Zeros, subnormal and flushed magnitudes, the top binade (where rounding may
-overflow), binades whose constant would overflow binary64, and every fp64
-value take the general path.
+``chop`` rounds a whole float64 array (Higham & Pranesh, "Simulating low
+precision floating-point arithmetic", SIAM J. Sci. Comput., 2019).  It is the
+one definition of rounding to a format here; ``ArithmeticContext`` applies it
+to array operands, and ``round_to_format`` rounds one value the same way, bit
+for bit.  Where ``FloatFormat.binade_constants`` has a constant C for the
+binade of x, that is one binary64 addition, (x + C) - C; elsewhere it is
+``chop``.  The table covers the binades below the top one whose values round
+to a nonzero, subnormal ones included (their spacing is constant, so they
+share the emin binade's C).  The binade holding the tie that rounds to zero
+is left out, because (x + C) - C gives +0.0 where -0.0 is right.  For
+binary64 every C is 0.0: each binary64 value is its own rounding.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ __all__ = [
     "round_to_format",
     "chop",
     "as_batch",
+    "per_row",
     "NAMED_FORMATS",
 ]
 
@@ -59,36 +60,6 @@ _CUSTOM_RE = re.compile(
 # -1073..-1, so that Python's negative indexing maps every exponent e to
 # its own entry: table[e].
 _FREXP_EXPONENTS = (*range(1025), *range(-1073, 0))
-
-
-@functools.lru_cache(maxsize=32)
-def _binade_constants(t: int, emin: int, emax: int) -> tuple[float | None, ...]:
-    """Rounding constants C = 1.5 * 2^(e - t + 52) by ``math.frexp`` exponent e.
-
-    An entry exists for each binade [2^(e-1), 2^e) that is normal
-    (emin <= e - 1) and not the top one (e - 1 < emax), when C fits binary64
-    (e - t + 52 <= 1023) and t <= 26; every other entry is None.  For x in
-    such a binade, (x + C) - C is x rounded to t bits, ties to even:
-
-    * C's binade [2^(e-t+52), 2^(e-t+53)) has binary64 spacing 2^(e-t), the
-      target ulp of x's binade;
-    * |x| < 2^e <= C/3 (true for t <= 51), so x + C stays in C's binade;
-    * the one binary64 addition rounds to nearest, ties to even, and
-      C / 2^(e-t) = 1.5 * 2^52 is even, so a tie goes to the same neighbour
-      that ties-to-even rounding of x itself picks;
-    * (x + C) - C is exact (both operands lie in one binade);
-    * a result of +-2^e is representable, because the top binade is excluded.
-
-    +-inf and NaN come back unchanged; a zero must take the general path to
-    keep its sign.  C is normal for every format ``format_params`` accepts
-    (emin - t + 1 >= -1074 gives e - t + 52 >= -1022).
-    """
-    return tuple(
-        math.ldexp(1.5, e - t + 52)
-        if t <= MAX_CUSTOM_PRECISION and emin <= e - 1 < emax and e - t + 52 <= 1023
-        else None
-        for e in _FREXP_EXPONENTS
-    )
 
 
 @dataclass(frozen=True)
@@ -126,10 +97,47 @@ class FloatFormat:
 
     @functools.cached_property
     def binade_constants(self) -> tuple[float | None, ...]:
-        """``round_to_format``'s constants, indexed by ``math.frexp`` exponent."""
-        return _binade_constants(self.precision_bits, self.emin, self.emax)
+        """``round_to_format``'s constants C, indexed by ``math.frexp`` exponent e.
+
+        With k = max(e, emin + 1) and C = 1.5 * 2^(k - t + 52), (x + C) - C is
+        x in the binade [2^(e-1), 2^e) rounded to the format, ties to even:
+
+        * C's binade has binary64 spacing 2^(k-t), the format's spacing at x:
+          the ulp of a normal binade (k = e), or the subnormal spacing
+          2^(emin-t+1) below 2^emin (k = emin + 1, the emin binade's C);
+        * |x| < 2^k <= C/3 (true for t <= 51), so x + C stays in C's binade;
+        * that one addition rounds to nearest, ties to even, and
+          C / 2^(k-t) = 1.5 * 2^52 is even, so a tie goes to the same
+          neighbour that ties-to-even rounding of x itself picks;
+        * (x + C) - C is exact (both operands lie in one binade).
+
+        Entries exist for the binades below the top one (so a result of +-2^e
+        is representable) that are normal or, with gradual underflow, at or
+        above the smallest subnormal 2^(emin-t+1).  The binade below that holds
+        the tie 2^(emin-t) that rounds to zero: (x + C) - C would give +0.0
+        for a negative x, not -0.0, so it has no entry.  Nor has a binade whose
+        C would overflow binary64, nor any binade when t > 26.  C is normal for
+        every format ``format_params`` accepts.  +-inf and NaN come back
+        unchanged; ``round_to_format`` returns a zero as it is, keeping its sign.
+
+        binary64 (t = 53, emin = -1022, emax = 1023, subnormals) maps every e
+        to C = 0.0, the identity.  The test is on all four parameters, not on
+        t: a ``FloatFormat`` built directly with another t > 26 has no entries.
+        """
+        t, emin, emax = self.precision_bits, self.emin, self.emax
+        if (t, emin, emax, self.subnormals_enabled) == NAMED_FORMATS["fp64"]:
+            return (0.0,) * len(_FREXP_EXPONENTS)
+        lowest = emin - t + 2 if self.subnormals_enabled else emin + 1
+        return tuple(
+            math.ldexp(1.5, max(e, emin + 1) - t + 52)
+            if t <= MAX_CUSTOM_PRECISION and lowest <= e <= emax
+            and max(e, emin + 1) - t + 52 <= 1023
+            else None
+            for e in _FREXP_EXPONENTS
+        )
 
 
+@functools.lru_cache(maxsize=32)
 def format_params(name: str) -> FloatFormat:
     """Resolve a format identifier to a fully populated :class:`FloatFormat`.
 
@@ -166,42 +174,19 @@ def round_to_format(x: float, fmt: FloatFormat) -> float:
     is carried in binary64 and the map is idempotent.
     """
     c = fmt.binade_constants[math.frexp(x)[1]]
-    if c is not None and x:
-        return (x + c) - c  # see _binade_constants
-    if x != x or math.isinf(x) or x == 0.0:
-        return x
-    t = fmt.precision_bits
-    _, e = math.frexp(x)  # |x| in [2^(e-1), 2^e)
-    exp = e - 1
-    if exp < fmt.emin:
-        if not fmt.subnormals_enabled:
-            # Nearest of {0, +-r_min}; the tie at r_min/2 goes to 0 (even).
-            half = math.ldexp(1.0, fmt.emin - 1)
-            if abs(x) <= half:
-                return math.copysign(0.0, x)
-            return math.copysign(fmt.r_min, x)
-        # Below r_min nothing overflows; copysign keeps the sign of a zero.
-        shift = (t - 1) - fmt.emin
-        return math.copysign(math.ldexp(round(math.ldexp(x, shift)), -shift), x)
-    shift = (t - 1) - exp
-    k = round(math.ldexp(x, shift))
-    try:
-        r = math.ldexp(k, -shift)
-    except OverflowError:
-        return math.copysign(math.inf, x)
-    if abs(r) > fmt.r_max:
-        return math.copysign(math.inf, x)
-    return r
+    if c is None:
+        return float(chop(x, fmt))
+    return (x + c) - c if x else x  # see FloatFormat.binade_constants
 
 
 def chop(x, fmt: FloatFormat):
-    """Round every entry of a float64 array as :func:`round_to_format` does.
+    """Round every entry of a float64 array to the nearest ``fmt`` value.
 
-    Same branches, same bits: normal and subnormal values round to the
-    nearest grid point (ties to even), magnitudes below the normal range of a
-    format without subnormals flush to +-0 or +-r_min, overflow gives +-inf,
-    and signed zeros, infinities and NaN pass through.  A scalar argument
-    gives a ``numpy.float64``.
+    Normal and subnormal values round to the nearest grid point (ties to
+    even), magnitudes below the normal range of a format without subnormals
+    flush to +-0 or +-r_min, overflow gives +-inf, and signed zeros,
+    infinities and NaN pass through.  A scalar argument gives a
+    ``numpy.float64``.
     """
     x = np.asarray(x, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -232,42 +217,39 @@ def as_batch(x) -> np.ndarray:
     return xs.reshape(-1, xs.shape[-1])
 
 
-def _ieee_exp(a: float) -> float:
+def per_row(y, xs: np.ndarray) -> np.ndarray:
+    """``y`` as one float64 per row of the batch ``xs``; another length raises ``ValueError``."""
+    y = np.asarray(y, dtype=np.float64).reshape(-1)
+    if len(y) != len(xs):
+        raise ValueError(f"y needs one value per row: {len(xs)} rows, {len(y)} values")
+    return y
+
+
+def _libm_or_ieee(fast, ieee, v: float) -> float:
     try:
-        return math.exp(a)
-    except OverflowError:
-        return math.inf
-
-
-def _ieee_log(a: float) -> float:
-    if a != a or a < 0.0:
-        return math.nan
-    if a == 0.0:
-        return -math.inf
-    return math.log(a)
-
-
-def _ieee_log1p(a: float) -> float:
-    if a != a or a < -1.0:
-        return math.nan
-    if a == -1.0:
-        return -math.inf
-    return math.log1p(a)
+        return fast(v)
+    except (OverflowError, ValueError):  # the IEEE result is +-inf or NaN
+        with np.errstate(all="ignore"):
+            return ieee(v)
 
 
 def _libm(fast, ieee, a) -> np.ndarray:
-    """``fast`` (a ``math`` function) on each entry, or ``ieee`` where it raises.
+    """``fast`` (a ``math`` function) on each entry, or ``ieee`` (its numpy
+    twin) on the entries where ``fast`` raises.
 
     Transcendental functions go through the C library one value at a time:
     numpy's vector ``exp`` and ``log1p`` differ from it in the last bit on a
     few percent of arguments, which would change every measured error.
+    ``math`` raises only where the IEEE result is +-inf or NaN (exp
+    overflow, log of zero or of a negative), and there numpy's is exact.
     """
     a = np.asarray(a, dtype=np.float64)
     values = a.ravel().tolist()
     try:
         out = np.fromiter(map(fast, values), np.float64, len(values))
     except (OverflowError, ValueError):
-        out = np.fromiter(map(ieee, values), np.float64, len(values))
+        either = functools.partial(_libm_or_ieee, fast, ieee)
+        out = np.fromiter(map(either, values), np.float64, len(values))
     return out.reshape(a.shape)
 
 
@@ -301,10 +283,10 @@ class ArithmeticContext:
         return self._binop(np.divide, a, b)
 
     def exp(self, a):
-        return chop(_libm(math.exp, _ieee_exp, a), self.fmt)
+        return chop(_libm(math.exp, np.exp, a), self.fmt)
 
     def log(self, a):
-        return chop(_libm(math.log, _ieee_log, a), self.fmt)
+        return chop(_libm(math.log, np.log, a), self.fmt)
 
     def log1p(self, a):
-        return chop(_libm(math.log1p, _ieee_log1p, a), self.fmt)
+        return chop(_libm(math.log1p, np.log1p, a), self.fmt)

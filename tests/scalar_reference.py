@@ -6,9 +6,11 @@ arithmetic and the ``math`` module and rounded by ``round_reference``, so the
 batch kernels must reproduce their results bit for bit.  The oracle, in
 binary64 throughout, is kept as it ran before it took a batch.
 
-``round_reference`` is ``round_to_format`` as it was before its binade-table
-fast path: scaling by ``ldexp`` and Python's ``round`` (ties to even), with
-no lookup table, so it checks that path independently.
+``round_reference`` is the only scalar copy of the rounding rule: scaling by
+``ldexp`` and Python's ``round`` (ties to even), with no lookup table and no
+numpy.  The package itself defines rounding once, in ``precision.chop``, and
+``round_to_format`` is a table lookup over it, so this function checks both
+independently.
 """
 
 from __future__ import annotations

@@ -150,6 +150,12 @@ class TestBoundLeadingTerm:
         with pytest.raises(ValueError, match="input vector"):
             bound_leading_term("basic_lse", x, y=[0.0])
 
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_y_needs_one_value_per_row(self, k):
+        xs = np.arange(6.0).reshape(3, 2)
+        with pytest.raises(ValueError, match="one value per row"):
+            bound_leading_term("basic_lse", xs, y=[1.0] * k)
+
     def test_precomputed_y_shortcut(self):
         x = [0.5, -0.25, 3.0]
         y = lse_softmax_reference(x).y_ref

@@ -14,18 +14,24 @@ from lselab.analysis import softmax_jacobian
 from lselab.harness import DataSpec, _generate_one, generate
 from lselab.kernels import lse_softmax_basic, lse_softmax_shifted, softmax_alt
 from lselab.oracle import lse_softmax_reference
-from lselab.precision import ArithmeticContext, chop, format_params, round_to_format
+from lselab.precision import (
+    ArithmeticContext,
+    FloatFormat,
+    chop,
+    format_params,
+    round_to_format,
+)
 
 FORMATS = [
     "fp16",
     "bfloat16",
     "fp32",
-    "fp64",  # no binade constants: every value takes the general path
+    "fp64",  # every binade constant is 0.0: the table is the identity
     "custom:t=5,emin=-6,emax=7,subnormals=0",
     "custom:t=26,emin=-1000,emax=1023,subnormals=1",  # no constant above 2^997
     "custom:t=8,emin=-1067,emax=10,subnormals=1",
     "custom:t=3,emin=-2,emax=1023,subnormals=0",
-    "custom:t=11,emin=3,emax=9,subnormals=1",  # inf and NaN index [0.5, 1), below emin
+    "custom:t=11,emin=3,emax=9,subnormals=1",  # inf and NaN index [0.5, 1), a subnormal binade
 ]
 
 
@@ -38,8 +44,8 @@ def _same(a: float, b: float) -> bool:
 
 
 def _edge_values(fmt) -> list[float]:
-    """Ties in every binade, both sides of the subnormal and overflow
-    boundaries, signed zeros, infinities and NaN."""
+    """Ties in every normal and subnormal binade, both sides of the
+    subnormal and overflow boundaries, signed zeros, infinities and NaN."""
     t = fmt.precision_bits
     vals = [0.0, math.inf, math.nan, 5e-324, 1.7976931348623157e308]
     for e in range(fmt.emin, fmt.emax + 1):
@@ -47,6 +53,14 @@ def _edge_values(fmt) -> list[float]:
         # the tie rounds down, then up, then up out of its binade
         for m in (1.0, 1.0 + math.ldexp(1.0, 1 - t), 2.0 - math.ldexp(1.0, 1 - t)):
             tie = math.ldexp(m, e) + half_ulp
+            vals += [tie, math.nextafter(tie, 0.0), math.nextafter(tie, math.inf)]
+    # the binades [2^j, 2^(j+1)) from the smallest subnormal up to 2^emin,
+    # where the grid spacing is the subnormal ulp: both ends, and the same ties
+    sub_ulp = math.ldexp(1.0, fmt.emin - t + 1)
+    for j in range(fmt.emin - t + 1, fmt.emin):
+        lo, hi = math.ldexp(1.0, j), math.ldexp(1.0, j + 1)
+        vals += [lo, hi - sub_ulp]
+        for tie in (lo + sub_ulp / 2, lo + 1.5 * sub_ulp, hi - sub_ulp / 2):
             vals += [tie, math.nextafter(tie, 0.0), math.nextafter(tie, math.inf)]
     tie_over = fmt.r_max + math.ldexp(1.0, fmt.emax - t)
     vals += [fmt.r_max, math.nextafter(fmt.r_max, math.inf), tie_over,
@@ -68,6 +82,22 @@ def test_chop_matches_round_to_format_on_edges(name):
         assert _same(r, ref.round_reference(v, fmt)), (name, v, r)
         assert _same(c, r), (name, v, c, r)
         assert _same(chop(v, fmt), r)  # a scalar rounds like a 1-entry array
+
+
+def test_binade_table_entries():
+    table = format_params("fp16").binade_constants
+    emin_constant = table[math.frexp(2.0**-14)[1]]
+    # every subnormal binade shares the emin binade's constant ...
+    assert {table[math.frexp(2.0**j)[1]] for j in range(-24, -14)} == {emin_constant}
+    # ... but the one below the smallest subnormal holds a tie to zero
+    assert table[math.frexp(2.0**-25)[1]] is None
+    assert table[math.frexp(2.0**15)[1]] is None  # the top binade may overflow
+    assert set(format_params("fp64").binade_constants) == {0.0}
+    # binary64's identity table belongs to its parameters, not to any t > 26
+    wide = FloatFormat("wide", 40, -100, 100, True)
+    assert set(wide.binade_constants) == {None}
+    for v in _edge_values(wide):
+        assert _same(round_to_format(v, wide), ref.round_reference(v, wide)), v
 
 
 @pytest.mark.parametrize("name", FORMATS)

@@ -144,6 +144,10 @@ def _exit_code(argv):
 
 @pytest.mark.parametrize("argv,csv_text", [
     pytest.param(["eval", "--x", "1,abc"], None, id="eval-unparsable-vector"),
+    pytest.param(["eval", "--x", "1,,2"], None, id="eval-empty-field"),
+    pytest.param(["eval", "--x", "1,2,"], None, id="eval-trailing-comma"),
+    pytest.param(["analyze", "--x", "1,,2"], None, id="analyze-empty-field"),
+    pytest.param(["analyze", "--x", "1,2,"], None, id="analyze-trailing-comma"),
     pytest.param(["eval", "--format", "fp16", "--x", "1e6,2"], None,
                  id="eval-overflows-format"),
     pytest.param(["experiment", "--format", "fp16"], "1.0,nan\n", id="csv-nan"),

@@ -166,6 +166,12 @@ class TestSoftmaxAlt:
         r = softmax_alt([1.0], math.nan, NATIVE)
         assert "produced_nan" in raised(r)
 
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_y_needs_one_value_per_row(self, k):
+        xs = np.arange(6.0).reshape(3, 2)
+        with pytest.raises(ValueError, match="one value per row"):
+            softmax_alt(xs, [1.0] * k, NATIVE)
+
 
 class TestEvaluate:
     def test_runs_each_algorithm_by_id(self):

@@ -31,6 +31,11 @@ def _bits(v: float) -> bytes:
     return struct.pack("<d", v)
 
 
+def _same(a: float, b: float) -> bool:
+    """Bit for bit, or both NaN (IEEE 754 leaves an invalid result's sign open)."""
+    return _bits(a) == _bits(b) or (a != a and b != b)
+
+
 def sig3(v):
     return float(f"{v:.3g}")
 
@@ -77,6 +82,12 @@ class TestFormatParams:
         f = format_params("custom:t=8,emin=-126,emax=127,subnormals=1")
         assert sig3(f.r_min_subnormal) == 9.18e-41
         assert sig3(math.log(f.r_min_subnormal)) == -92.2
+
+    def test_one_format_per_name(self):
+        # the binade table is built once per format, on first use
+        assert format_params("fp16") is format_params("fp16")
+        name = "custom:t=5,emin=-6,emax=7,subnormals=0"
+        assert format_params(name) is format_params(name)
 
     def test_custom_parsing(self):
         f = format_params("custom:t=11,emin=-14,emax=15,subnormals=1")
@@ -207,6 +218,28 @@ class TestArithmeticContext:
         assert math.isnan(ctx.log(-1.0))
         assert math.isnan(ctx.log1p(-2.0))
         assert ctx.log1p(-1.0) == -math.inf
+
+    def test_fp64_special_values_where_math_raises(self):
+        # math raises on these arguments; the results are IEEE's, and finite
+        # arguments in the same array keep the C library's bits
+        import numpy as np
+
+        ctx = ArithmeticContext(format_params("fp64"))
+        finite = [0.3, 2.5, 1e-300, 700.0]
+        cases = [
+            (ctx.exp, math.exp, {710.0: math.inf}),
+            (ctx.log, math.log, {0.0: -math.inf, -0.0: -math.inf,
+                                 -1.0: math.nan, -math.inf: math.nan}),
+            (ctx.log1p, math.log1p, {-1.0: -math.inf, -2.0: math.nan,
+                                     -math.inf: math.nan}),
+        ]
+        for op, libm, special in cases:
+            for a, want in special.items():
+                assert _same(op(a), want), (op.__name__, a)
+            args = [*finite, *special, *finite]
+            want = [libm(a) for a in finite] + list(special.values()) + [libm(a) for a in finite]
+            got = op(np.array(args)).tolist()
+            assert all(_same(g, w) for g, w in zip(got, want)), (op.__name__, got)
 
     def test_model_conformance(self, fp16):
         # |fl(a op b) - (a op b)| <= u |a op b| in the normalized range
