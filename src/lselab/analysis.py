@@ -43,28 +43,85 @@ def cond_lse(x: Sequence[float], ref: Reference | None = None) -> float:
     return xnorm / abs(y)
 
 
+def _jacobian_rows(g: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Rows ``rows`` of diag(g) - g g^T as one C-contiguous (len(rows) x n) array.
+
+    Bit for bit the rows of diag(g) - outer(g, g): -(g_i g_j) + 0.0 is
+    0 - g_i g_j (a product that underflows gives +0.0, not -0.0), and each
+    row's diagonal entry then adds g_i, since a - b is a + (-b).
+    """
+    gr = g[rows]
+    J = np.multiply.outer(-gr, g)
+    J += 0.0
+    J[np.arange(len(rows)), rows] += gr
+    return J
+
+
 def softmax_jacobian(x: Sequence[float], ref: Reference | None = None) -> np.ndarray:
     """Jacobian of softmax: diag(g) - g g^T, built from oracle-grade g."""
     g = (ref or lse_softmax_reference(x)).g_ref[0]
-    # one n x n array, bit for bit diag(g) - outer(g, g): -(g_i g_j) + 0.0
-    # is 0 - g_i g_j (a product that underflows gives +0.0, not -0.0), and
-    # the diagonal then adds g_i, since a - b is a + (-b)
-    G = np.multiply.outer(-g, g)
-    G += 0.0
-    G.flat[:: len(g) + 1] += g
-    return G
+    return _jacobian_rows(g, np.arange(len(g)))
+
+
+_U = math.ldexp(1.0, -53)  # unit roundoff of binary64
+_ETA = math.ldexp(1.0, -1074)  # smallest subnormal of binary64
+
+
+def _row_sum_bounds(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) with lo_i <= r_i <= hi_i, in O(n), where r_i is row i of
+    ``np.sum(np.abs(G), axis=1)`` for G = diag(g) - g g^T as built by
+    :func:`_jacobian_rows`, or its sum in any other order.
+
+    For 0 <= g_j <= 1 and n u <= 2^-30, with u = 2^-53, eta = 2^-1074 and
+    M = 1 + sum_j g_j, so that E_i = g_i (M - 2 g_i) is the exact row sum of
+    |diag(g) - g g^T|:
+    - row i of |G| holds fl(g_i - fl(g_i^2)) and fl(g_i g_j), j != i, all
+      >= 0; a product is ab(1 + d) + e with |d| <= u and |e| <= eta/2, so
+      the entries' exact sum T_i is within u g_i M + n eta/2 of E_i;
+    - n nonnegative terms added in any order give r_i within
+      gamma_{n-1} T_i of T_i (gamma_k = ku/(1 - ku); a sum that is
+      subnormal is exact, and T_i <= n cannot overflow);
+    - s = fl(1 + g.sum()), summed in any order, is within
+      (u + gamma_{n-1}) M of M.
+    So |r_i - g_i (s - 2 g_i)| <= 2n u g_i s + (n + 1) eta/2 to first
+    order in nu.  hi_i = fl(fl(fl(s + k) - 2 g_i) g_i) + c and lo_i, from
+    s - k and - c, lose at most 3u g_i (s + k) + eta/2 more, so
+    k = (2n + 8)u s and c = (n + 2) eta bound r_i.  Adding or taking c
+    rounds to nearest, which cannot cross the float r_i.
+    """
+    n = g.size
+    s = 1.0 + float(g.sum())
+    k = (2 * n + 8) * _U * s
+    c = (n + 2) * _ETA
+    hi = g * -2.0
+    lo = hi + (s - k)
+    lo *= g
+    lo -= c
+    hi += s + k
+    hi *= g
+    hi += c
+    return lo, hi
 
 
 def cond_softmax(x: Sequence[float], ref: Reference | None = None) -> tuple[float, float]:
     """(exact, upper) infinity-norm condition numbers of softmax.
 
     exact = ||G||_inf * ||x||_inf / ||g||_inf; upper = n * ||x||_inf.
+
+    ||G||_inf is the largest row sum of |G|, G = diag(g) - g g^T, bit for
+    bit as summed over the whole matrix, but only the rows that can hold it
+    are built: those whose upper bound from :func:`_row_sum_bounds` reaches
+    the largest lower bound.  The row with the largest sum is always among
+    them.  On a typical vector that is one row, so the cost is O(n); when
+    every g_i is equal every row is a candidate, O(n^2).
     """
     ref = ref or lse_softmax_reference(x)
-    G = softmax_jacobian(x, ref)
+    g = ref.g_ref[0]
+    lo, hi = _row_sum_bounds(g)
+    J = _jacobian_rows(g, (hi >= lo.max()).nonzero()[0])
     xnorm = max(abs(v) for v in x)
-    gnorm = max(abs(v) for v in ref.g_ref[0].tolist())
-    norm_G = float(np.max(np.sum(np.abs(G), axis=1)))
+    gnorm = float(abs(g).max())
+    norm_G = float(abs(J).sum(axis=1).max())
     exact = norm_G * xnorm / gnorm
     upper = len(x) * xnorm
     return exact, upper

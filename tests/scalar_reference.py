@@ -11,12 +11,18 @@ binary64 throughout, is kept as it ran before it took a batch.
 numpy.  The package itself defines rounding once, in ``precision.chop``, and
 ``round_to_format`` is a table lookup over it, so this function checks both
 independently.
+
+``cond_softmax_reference`` is the softmax condition number as lselab
+computed it before it bounded the Jacobian's row sums: it builds the whole
+n x n Jacobian with numpy and sums every row.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from lselab.precision import FloatFormat
 
@@ -158,3 +164,17 @@ def lse_softmax_reference(x: list[float]) -> Result:
     y = a + math.log1p(s)
     denom = math.fsum([1.0, *(wi for i, wi in enumerate(w) if i != k)])
     return Result(y, [wi / denom for wi in w])
+
+
+def cond_softmax_reference(x: list[float], g: np.ndarray) -> tuple[float, float]:
+    """(exact, upper) condition numbers of softmax from all of G = diag(g) - g g^T.
+
+    ``g`` is the oracle's softmax of ``x``.  O(n^2) time and memory.
+    """
+    G = np.multiply.outer(-g, g)
+    G += 0.0
+    G.flat[:: len(g) + 1] += g
+    xnorm = max(abs(v) for v in x)
+    gnorm = max(abs(v) for v in g.tolist())
+    norm_G = float(np.max(np.sum(np.abs(G), axis=1)))
+    return norm_G * xnorm / gnorm, len(x) * xnorm

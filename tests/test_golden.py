@@ -4,7 +4,8 @@ Each suite runs ``lselab experiment`` through ``cli.main`` and checks the
 sha256 of every file it writes (records CSV, summary CSV and SVGs) and its
 exit code against values recorded when the outputs were last known good.
 One more digest covers the exit code, stdout and stderr of a sweep of
-``eval`` and ``analyze`` calls.  A change that alters any of them is a
+``eval`` and ``analyze`` calls, and another those of ``analyze`` on long
+vectors whose softmax Jacobian rows tie or nearly tie.  A change that alters any of them is a
 behaviour change: if it is meant, say so and record the new digests.
 """
 
@@ -114,3 +115,28 @@ def test_eval_and_analyze_outputs_match_frozen_digest(capsys):
         out, err = capsys.readouterr()
         h.update(f"{code}\0{out}\0{err}\0".encode())
     assert h.hexdigest() == EVAL_ANALYZE_SHA256
+
+
+def _stress_vectors() -> list[str]:
+    """512-entry vectors from stdlib streams: a constant (every Jacobian row
+    ties), two values (two row sums), one entry at 0 with the rest at
+    -745...-40 (their g tiny, subnormal or 0, so sum_j g_j - g_0 cancels) and
+    uniform(-800, 800)."""
+    r = random.Random(13)
+    vectors = [[2.5] * 512, [r.choice((1.25, -3.0)) for _ in range(512)]]
+    vectors.append([0.0] + [r.uniform(-745.0, -40.0) for _ in range(511)])
+    vectors.append([r.uniform(-800.0, 800.0) for _ in range(512)])
+    return [",".join(map(repr, v)) for v in vectors]
+
+
+ANALYZE_STRESS_SHA256 = "ae398a22dab6cf6491d51fd6015919a40140d3843f168451db90597211cd7df6"
+
+
+def test_analyze_on_long_stress_vectors_matches_frozen_digest(capsys):
+    h = hashlib.sha256()
+    for x in _stress_vectors():
+        for json in ([], ["--json"]):
+            code = main(["analyze", f"--x={x}", *json])
+            out, err = capsys.readouterr()
+            h.update(f"{code}\0{out}\0{err}\0".encode())
+    assert h.hexdigest() == ANALYZE_STRESS_SHA256
