@@ -14,22 +14,14 @@ import numpy as np
 
 from .oracle import Reference, lse_softmax_reference
 from .precision import as_batch, per_row
-from .quantities import QUANTITIES
 
 __all__ = [
-    "ALGORITHM_IDS",
     "cond_lse",
     "softmax_jacobian",
     "cond_softmax",
     "y_range",
     "bound_leading_term",
 ]
-
-# Bound ids grouped by the log-sum-exp that feeds them (basic, then shifted).
-ALGORITHM_IDS = tuple(
-    q.bound_id for q in sorted(QUANTITIES, key=lambda q: q.kernel.endswith("shifted"))
-)
-
 
 def cond_lse(x: Sequence[float], ref: Reference | None = None) -> float:
     """Condition number of log-sum-exp in the infinity norm; +inf when y = 0.
@@ -133,55 +125,36 @@ def y_range(x: Sequence[float]) -> tuple[float, float]:
     return x_max, x_max + math.log(len(x))
 
 
-def _leading_factor(
-    algorithm_id: str,
-    n: int,
-    y: np.ndarray,
-    x_max: np.ndarray,
-    x_min: np.ndarray,
-    max_dev: np.ndarray,
-) -> np.ndarray:
-    """The factor of each vector of length ``n``; the other arguments are
-    columns with one entry per vector.
+def bound_leading_term(
+    x: Sequence[float] | np.ndarray, y: Sequence[float] | np.ndarray
+) -> dict[str, np.ndarray]:
+    """Leading error-bound factor (coefficient of u) of every algorithm, as
+    ``{bound id: factor column}`` with one entry per row of ``x``.
+
+    ``x`` is a (rows x n) batch or one vector, a one-row batch.  ``y`` holds
+    one oracle log-sum-exp per row; any other length raises ``ValueError``.
+    The keys come in analyze's print order: the ids fed by the basic
+    log-sum-exp, then those fed by the shifted one.
 
     y = 0 makes both log-sum-exp factors +inf through the division: the
     shifted numerator is at least n because x_min <= x_max <= y.
     """
-    if algorithm_id == "basic_lse":
-        return 1.0 + (n + 1) / np.abs(y)
-    if algorithm_id == "basic_softmax":
-        return np.full_like(y, n + 3)
-    if algorithm_id == "alt_softmax":
-        return np.abs(y) + max_dev + n + 2
-    if algorithm_id == "shifted_lse":
-        return np.abs(y + n - x_min) / np.abs(y)
-    if algorithm_id == "shifted_softmax":
-        return n + 2 + 2.0 * (x_max - x_min)
-    if algorithm_id == "alt_shifted_softmax":
-        return 1.0 + max_dev + np.abs(y + n - x_min)
-    raise ValueError(f"unknown algorithm id: {algorithm_id!r}")
-
-
-def bound_leading_term(
-    algorithm_id: str, x: Sequence[float] | np.ndarray, y: np.ndarray | None = None
-) -> np.ndarray:
-    """Leading error-bound factor (coefficient of u) for one algorithm, one
-    entry per row of ``x``.
-
-    ``x`` is a (rows x n) batch or one vector, a one-row batch.  ``y`` holds
-    one log-sum-exp per row (any other length raises ``ValueError``) and
-    defaults to the oracle reference of ``x``; passing a precomputed
-    reference avoids re-running the oracle.
-    """
     rows = as_batch(x)
-    if y is None:
-        y = lse_softmax_reference(rows).y_ref
     y = per_row(y, rows)
     n = rows.shape[1]
     x_max = rows.max(axis=1)
     x_min = rows.min(axis=1)
+    abs_y = np.abs(y)
     # y = 0 divides by zero, and x_j - y or a factor beyond binary64's range
     # overflows: both give +inf, the right value
     with np.errstate(divide="ignore", over="ignore"):
         max_dev = np.abs(rows - y[:, None]).max(axis=1)  # max_j |x_j - y|
-        return _leading_factor(algorithm_id, n, y, x_max, x_min, max_dev)
+        shifted_num = np.abs(y + n - x_min)
+        return {
+            "basic_lse": 1.0 + (n + 1) / abs_y,
+            "basic_softmax": np.full_like(y, n + 3),
+            "alt_softmax": abs_y + max_dev + n + 2,
+            "shifted_lse": shifted_num / abs_y,
+            "shifted_softmax": n + 2 + 2.0 * (x_max - x_min),
+            "alt_shifted_softmax": 1.0 + max_dev + shifted_num,
+        }

@@ -12,7 +12,7 @@ import json
 import math
 import sys
 
-from .analysis import ALGORITHM_IDS, bound_leading_term, cond_lse, cond_softmax, y_range
+from .analysis import bound_leading_term, cond_lse, cond_softmax, y_range
 from .harness import (
     DataSpec,
     emit_csv,
@@ -110,7 +110,7 @@ def cmd_analyze(args) -> int:
     cf = cond_lse(x, ref)
     cg_exact, cg_upper = cond_softmax(x, ref)
     lo, hi = y_range(x)
-    bounds = {aid: float(bound_leading_term(aid, x, y=ref.y_ref)[0]) for aid in ALGORITHM_IDS}
+    bounds = {aid: float(f[0]) for aid, f in bound_leading_term(x, ref.y_ref).items()}
     if args.json:
         print(
             json.dumps(
@@ -128,8 +128,8 @@ def cmd_analyze(args) -> int:
         print(f"cond_softmax_exact: {_fmt9(cg_exact)}")
         print(f"cond_softmax_upper: {_fmt9(cg_upper)}")
         print(f"y_range: [{_fmt9(lo)}, {_fmt9(hi)}]")
-        for aid in ALGORITHM_IDS:
-            print(f"bound[{aid}]: {_fmt9(bounds[aid])}")
+        for aid, factor in bounds.items():
+            print(f"bound[{aid}]: {_fmt9(factor)}")
     return 0
 
 
@@ -164,7 +164,7 @@ def cmd_experiment(args) -> int:
             spec = _parse_genspec(args.gen, args.n, args.count, args.seed)
             data = generate(spec)
         records = run_experiment(data, fmt)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     summary = summarize(records)

@@ -282,13 +282,14 @@ def _run_batch(
         "xmin": xs[rows, xs.argmin(axis=1)],
         "y_ref": y_ref,
     }
+    factors = bound_leading_term(xs, y_ref)
     for q in QUANTITIES:
         res = runs[q.kernel]
         if q.lse:
             columns[q.err] = scaled_errors(res.y, y_ref, fmt)
         else:
             columns[q.err] = scaled_errors_vec(res.g, g_ref, fmt)
-        columns[q.bnd] = bound_leading_term(q.bound_id, xs, y_ref)
+        columns[q.bnd] = factors[q.bound_id]
     for kernel, column in SUM_DEV_COLUMNS.items():
         columns[column] = _sum_deviations(runs[kernel].g, u)
     return columns, {kernel: runs[kernel].flags for kernel in KERNELS}

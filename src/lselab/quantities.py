@@ -1,7 +1,9 @@
 """The six measured quantities: one row per error the paper bounds.
 
-Record columns, the CSV header, summary keys, exclusion flags, analyze's
-bound ids, eval's ``--alg`` choices and the SVG plots all derive from it.
+Record columns, the CSV header, summary keys, exclusion flags, eval's
+``--alg`` choices and the SVG plots all derive from it.  Each ``bound_id``
+is a key of ``analysis.bound_leading_term``'s result, which also gives
+analyze its bound ids.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ __all__ = ["Quantity", "QUANTITIES", "KERNELS", "SUM_DEV_COLUMNS"]
 @dataclass
 class Quantity:
     stem: str  # summary key; "lse_<variant>" measures y, "sm_<variant>" g
-    bound_id: str  # analysis.bound_leading_term id
+    bound_id: str  # key of this factor in analysis.bound_leading_term's result
     kernel: str  # kernels.evaluate id of the kernel whose output is measured
     ratio_to: str | None = None  # summary ratio err_<stem> / err_<ratio_to>
     # Column names, built once at import so that no trial formats a string.

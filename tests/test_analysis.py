@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from lselab.analysis import (
-    ALGORITHM_IDS,
     bound_leading_term,
     cond_lse,
     cond_softmax,
@@ -12,6 +11,7 @@ from lselab.analysis import (
     y_range,
 )
 from lselab.oracle import lse_softmax_reference
+from lselab.quantities import QUANTITIES
 
 # frozen 60-digit mpmath values for x = [1, -1]
 LSE_1_M1 = 1.1269280110429725
@@ -101,77 +101,83 @@ class TestYRange:
         assert hi == pytest.approx(math.log(4.0), abs=1e-15)
 
 
+def _factors(x):
+    """Every bound factor of ``x``, fed the oracle log-sum-exp."""
+    return bound_leading_term(x, lse_softmax_reference(x).y_ref)
+
+
 class TestBoundLeadingTerm:
+    def test_keys_are_the_table_bound_ids_in_analyze_order(self):
+        basic_fed = [q.bound_id for q in QUANTITIES if not q.kernel.endswith("shifted")]
+        shifted_fed = [q.bound_id for q in QUANTITIES if q.kernel.endswith("shifted")]
+        assert list(_factors([1.0, -1.0])) == basic_fed + shifted_fed
+        assert basic_fed + shifted_fed == [
+            "basic_lse", "basic_softmax", "alt_softmax",
+            "shifted_lse", "shifted_softmax", "alt_shifted_softmax",
+        ]
+
     def test_basic_lse(self):
-        factor = bound_leading_term("basic_lse", [1.0, -1.0])
+        factor = _factors([1.0, -1.0])["basic_lse"]
         assert factor.shape == (1,)
         assert factor[0] == pytest.approx(BND_LSE_1_M1, rel=1e-13)
 
     def test_shifted_lse(self):
-        factor = bound_leading_term("shifted_lse", [1.0, -1.0])
+        factor = _factors([1.0, -1.0])["shifted_lse"]
         assert factor[0] == pytest.approx(BND_LSE_1_M1, rel=1e-13)
 
     def test_basic_softmax_is_input_independent(self):
-        assert bound_leading_term("basic_softmax", list(range(10))).tolist() == [13.0]
+        assert _factors(list(range(10)))["basic_softmax"].tolist() == [13.0]
 
     def test_alt_formulas(self):
         x = [1.0, -1.0]
         y = LSE_1_M1
         max_dev = max(abs(1.0 - y), abs(-1.0 - y))
-        alt = bound_leading_term("alt_softmax", x)[0]
+        factors = _factors(x)
+        alt = factors["alt_softmax"][0]
         assert alt == pytest.approx(abs(y) + max_dev + 4.0, rel=1e-12)
-        alts = bound_leading_term("alt_shifted_softmax", x)[0]
+        alts = factors["alt_shifted_softmax"][0]
         assert alts == pytest.approx(1.0 + max_dev + abs(y + 2.0 + 1.0), rel=1e-12)
 
     def test_shifted_softmax(self):
-        factor = bound_leading_term("shifted_softmax", [1.0, -1.0])[0]
+        factor = _factors([1.0, -1.0])["shifted_softmax"][0]
         assert factor == pytest.approx(2 + 2 + 2 * 2.0, rel=1e-15)
 
     def test_zero_lse_gives_infinite_factor(self):
         c = -math.log(4.0)
+        factors = _factors([c, c, c, c])
         for aid in ("basic_lse", "shifted_lse"):
-            assert bound_leading_term(aid, [c, c, c, c])[0] > 1e14
+            assert factors[aid][0] > 1e14
 
     def test_softmax_factors_at_least_one(self):
         rng = np.random.default_rng(31)
         for _ in range(50):
             n = int(rng.integers(1, 12))
-            x = rng.uniform(-10, 10, n).tolist()
+            factors = _factors(rng.uniform(-10, 10, n).tolist())
             for aid in ("basic_softmax", "shifted_softmax", "alt_softmax",
                         "alt_shifted_softmax"):
-                assert bound_leading_term(aid, x)[0] >= 1.0
-
-    def test_unknown_id_rejected(self):
-        with pytest.raises(ValueError):
-            bound_leading_term("fancy", [1.0])
+                assert factors[aid][0] >= 1.0
 
     @pytest.mark.parametrize("x", [[], [1.0, math.inf], [math.nan], [[]]])
     def test_bad_input_rejected_like_the_kernels(self, x):
         with pytest.raises(ValueError, match="input vector"):
-            bound_leading_term("basic_lse", x, y=[0.0])
+            bound_leading_term(x, y=[0.0])
 
     @pytest.mark.parametrize("k", [1, 4])
     def test_y_needs_one_value_per_row(self, k):
         xs = np.arange(6.0).reshape(3, 2)
         with pytest.raises(ValueError, match="one value per row"):
-            bound_leading_term("basic_lse", xs, y=[1.0] * k)
-
-    def test_precomputed_y_shortcut(self):
-        x = [0.5, -0.25, 3.0]
-        y = lse_softmax_reference(x).y_ref
-        for aid in ALGORITHM_IDS:
-            assert bound_leading_term(aid, x, y=y).tolist() == bound_leading_term(aid, x).tolist()
+            bound_leading_term(xs, y=[1.0] * k)
 
     def test_batch_matches_each_row(self):
         rng = np.random.default_rng(5)
         xs = rng.uniform(-30.0, 30.0, (7, 6))
         xs[2] = -math.log(6.0)  # y = 0: infinite lse factors
         ys = [float(lse_softmax_reference(row).y_ref[0]) for row in xs.tolist()]
-        for aid in ALGORITHM_IDS:
-            factors = bound_leading_term(aid, xs, np.array(ys))
-            rows = [bound_leading_term(aid, row, y=y) for row, y in zip(xs.tolist(), ys)]
-            assert factors.tolist() == [f for r in rows for f in r.tolist()]
-            assert bound_leading_term(aid, xs).tolist() == factors.tolist()
+        factors = bound_leading_term(xs, np.array(ys))
+        rows = [bound_leading_term(row, y=[y]) for row, y in zip(xs.tolist(), ys)]
+        for aid, column in factors.items():
+            assert column.tolist() == [f for r in rows for f in r[aid].tolist()]
+        assert math.isinf(factors["basic_lse"][2]) and math.isinf(factors["shifted_lse"][2])
 
 class TestGradientIdentity:
     def test_finite_difference_matches_softmax(self):

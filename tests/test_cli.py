@@ -168,6 +168,9 @@ def _exit_code(argv):
                  id="gen-near-singular-range-overflows"),
     pytest.param(["experiment", "--gen", "wide-spread:inf", "--format", "fp16"], None,
                  id="gen-wide-spread-infinite"),
+    # numpy refuses the 728 TiB array up front and raises MemoryError
+    pytest.param(["experiment", "--gen", "near-singular:1", "--n", "100000000000000",
+                  "--count", "1"], None, id="gen-allocation-refused"),
 ])
 def test_bad_input_exits_2_with_one_line(argv, csv_text, tmp_path, capsys):
     argv = [*argv, "--out", str(tmp_path / "run")] if argv[0] == "experiment" else argv
@@ -221,3 +224,17 @@ def test_analyze_runs_oracle_once(monkeypatch, capsys):
         calls.clear()
         assert main(argv) == 0
         assert calls == [3]
+
+
+def test_analyze_computes_bounds_once(monkeypatch, capsys):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return lselab.analysis.bound_leading_term(*args, **kwargs)
+
+    monkeypatch.setattr(lselab.cli, "bound_leading_term", counting)
+    for argv in (["analyze", "--x", "1,-1,3", "--json"], ["analyze", "--x", "1,-1,3"]):
+        calls.clear()
+        assert main(argv) == 0
+        assert len(calls) == 1

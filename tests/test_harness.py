@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import lselab.analysis
+import lselab.harness
 from conftest import emit_vectors_csv, same_records, select
 from lselab.harness import (
     CSV_HEADER,
@@ -169,6 +171,21 @@ class TestRunExperiment:
             emit_csv(rec, tmp_path / "alone.csv")
             _, row = (tmp_path / "alone.csv").read_text().splitlines()
             assert lines[i + 1] == f"{i}," + row.split(",", 1)[1]
+
+    def test_one_bound_call_per_length(self, monkeypatch, tmp_path):
+        # a ragged CSV with three distinct lengths makes three calls, one
+        # per batch of equal-length vectors
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return lselab.analysis.bound_leading_term(*args, **kwargs)
+
+        monkeypatch.setattr(lselab.harness, "bound_leading_term", counting)
+        path = tmp_path / "ragged.csv"
+        emit_vectors_csv([[1.0, 2.0], [3.0], [4.0, 5.0, 6.0], [7.0, 8.0], [9.0]], path)
+        run_experiment(ingest_csv(path), FP16)
+        assert len(calls) == 3
 
     def test_trial_rounds_inputs(self):
         # unrounded input and its rounded twin give identical records
