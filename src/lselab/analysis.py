@@ -23,13 +23,18 @@ __all__ = [
     "bound_leading_term",
 ]
 
+def _inf_norm(x: Sequence[float]) -> float:
+    """||x||_inf as a Python float."""
+    return float(np.abs(np.asarray(x, dtype=np.float64)).max())
+
+
 def cond_lse(x: Sequence[float], ref: Reference | None = None) -> float:
     """Condition number of log-sum-exp in the infinity norm; +inf when y = 0.
 
     ``ref`` is the oracle reference of ``x``, computed when not given.
     """
     y = float((ref or lse_softmax_reference(x)).y_ref[0])
-    xnorm = max(abs(v) for v in x)
+    xnorm = _inf_norm(x)
     if y == 0.0:
         return math.inf
     return xnorm / abs(y)
@@ -111,7 +116,7 @@ def cond_softmax(x: Sequence[float], ref: Reference | None = None) -> tuple[floa
     g = ref.g_ref[0]
     lo, hi = _row_sum_bounds(g)
     J = _jacobian_rows(g, (hi >= lo.max()).nonzero()[0])
-    xnorm = max(abs(v) for v in x)
+    xnorm = _inf_norm(x)
     gnorm = float(abs(g).max())
     norm_G = float(abs(J).sum(axis=1).max())
     exact = norm_G * xnorm / gnorm

@@ -11,12 +11,13 @@ precision floating-point arithmetic", SIAM J. Sci. Comput., 2019).  It is the
 one definition of rounding to a format here; ``ArithmeticContext`` applies it
 to array operands, and ``round_to_format`` rounds one value the same way, bit
 for bit.  Where ``FloatFormat.binade_constants`` has a constant C for the
-binade of x, that is one binary64 addition, (x + C) - C; elsewhere it is
-``chop``.  The table covers the binades below the top one whose values round
-to a nonzero, subnormal ones included (their spacing is constant, so they
-share the emin binade's C).  The binade holding the tie that rounds to zero
-is left out, because (x + C) - C gives +0.0 where -0.0 is right.  For
-binary64 every C is 0.0: each binary64 value is its own rounding.
+binade of x, that is one binary64 addition, (x + C) - C, and a test for
+overflow; elsewhere it is ``chop``.  The table covers the binades whose
+values round to a nonzero, subnormal ones included (their spacing is
+constant, so they share the emin binade's C), up to the top one.  The
+binade holding the tie that rounds to zero is left out, because
+(x + C) - C gives +0.0 where -0.0 is right.  For binary64 every C is 0.0:
+each binary64 value is its own rounding.
 """
 
 from __future__ import annotations
@@ -111,11 +112,14 @@ class FloatFormat:
           neighbour that ties-to-even rounding of x itself picks;
         * (x + C) - C is exact (both operands lie in one binade).
 
-        Entries exist for the binades below the top one (so a result of +-2^e
-        is representable) that are normal or, with gradual underflow, at or
-        above the smallest subnormal 2^(emin-t+1).  The binade below that holds
-        the tie 2^(emin-t) that rounds to zero: (x + C) - C would give +0.0
-        for a negative x, not -0.0, so it has no entry.  Nor has a binade whose
+        Entries exist for the binades up to the top one, [2^emax, 2^(emax+1)),
+        that are normal or, with gradual underflow, at or above the smallest
+        subnormal 2^(emin-t+1).  Below the top binade a result of +-2^e is
+        representable; in the top one a result above r_max (from the tie
+        r_max + ulp/2 up) is an overflow, which ``round_to_format`` turns
+        into +-inf.  The binade below the smallest subnormal holds the tie
+        2^(emin-t) that rounds to zero: (x + C) - C would give +0.0 for a
+        negative x, not -0.0, so it has no entry.  Nor has a binade whose
         C would overflow binary64, nor any binade when t > 26.  C is normal for
         every format ``format_params`` accepts.  +-inf and NaN come back
         unchanged; ``round_to_format`` returns a zero as it is, keeping its sign.
@@ -130,7 +134,7 @@ class FloatFormat:
         lowest = emin - t + 2 if self.subnormals_enabled else emin + 1
         return tuple(
             math.ldexp(1.5, max(e, emin + 1) - t + 52)
-            if t <= MAX_CUSTOM_PRECISION and lowest <= e <= emax
+            if t <= MAX_CUSTOM_PRECISION and lowest <= e <= emax + 1
             and max(e, emin + 1) - t + 52 <= 1023
             else None
             for e in _FREXP_EXPONENTS
@@ -176,7 +180,10 @@ def round_to_format(x: float, fmt: FloatFormat) -> float:
     c = fmt.binade_constants[math.frexp(x)[1]]
     if c is None:
         return float(chop(x, fmt))
-    return (x + c) - c if x else x  # see FloatFormat.binade_constants
+    if not x:
+        return x
+    r = (x + c) - c  # see FloatFormat.binade_constants
+    return math.copysign(math.inf, x) if abs(r) > fmt.r_max else r
 
 
 def chop(x, fmt: FloatFormat):

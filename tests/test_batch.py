@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import scalar_reference as ref
 from conftest import raised, same_result
-from lselab import analysis
+from lselab import analysis, kernels, precision
 from lselab.analysis import cond_softmax, softmax_jacobian
 from lselab.harness import DataSpec, _generate_one, generate
 from lselab.kernels import lse_softmax_basic, lse_softmax_shifted, softmax_alt
@@ -33,7 +33,9 @@ FORMATS = [
     "custom:t=8,emin=-1067,emax=10,subnormals=1",
     "custom:t=3,emin=-2,emax=1023,subnormals=0",
     "custom:t=11,emin=3,emax=9,subnormals=1",  # inf and NaN index [0.5, 1), a subnormal binade
+    "custom:t=4,emin=-6,emax=6,subnormals=1",
 ]
+T4 = "custom:t=4,emin=-6,emax=6,subnormals="
 
 
 def _bits(v: float) -> bytes:
@@ -73,10 +75,25 @@ def _edge_values(fmt) -> list[float]:
     return vals + [-v for v in vals]
 
 
+def _top_binade_values(fmt) -> list[float]:
+    """Every midpoint of the top binade [2^emax, 2^(emax+1)) and its two
+    binary64 neighbours (r_max - ulp/2 and the tie r_max + ulp/2 among
+    them), and the largest double below 2^(emax+1); both signs."""
+    t, emax = fmt.precision_bits, fmt.emax
+    ulp = math.ldexp(1.0, emax + 1 - t)
+    vals = [math.ldexp(math.nextafter(2.0, 0.0), emax)]
+    for k in range(2 ** (t - 1)):
+        mid = math.ldexp(1.0, emax) + (k + 0.5) * ulp
+        vals += [mid, math.nextafter(mid, 0.0), math.nextafter(mid, math.inf)]
+    return vals + [-v for v in vals]
+
+
 @pytest.mark.parametrize("name", FORMATS)
 def test_chop_matches_round_to_format_on_edges(name):
     fmt = format_params(name)
     vals = _edge_values(fmt)
+    if fmt.precision_bits <= 11:  # 2^(t-1) midpoints
+        vals += _top_binade_values(fmt)
     got = chop(np.array(vals), fmt).tolist()
     for v, c in zip(vals, got):
         r = round_to_format(v, fmt)
@@ -85,20 +102,33 @@ def test_chop_matches_round_to_format_on_edges(name):
         assert _same(chop(v, fmt), r)  # a scalar rounds like a 1-entry array
 
 
-def test_binade_table_entries():
+def test_binade_table_entries(monkeypatch):
     table = format_params("fp16").binade_constants
     emin_constant = table[math.frexp(2.0**-14)[1]]
     # every subnormal binade shares the emin binade's constant ...
     assert {table[math.frexp(2.0**j)[1]] for j in range(-24, -14)} == {emin_constant}
     # ... but the one below the smallest subnormal holds a tie to zero
     assert table[math.frexp(2.0**-25)[1]] is None
-    assert table[math.frexp(2.0**15)[1]] is None  # the top binade may overflow
+    # the top binade [2^15, 2^16) has its own constant; above it there is none
+    assert table[math.frexp(2.0**15)[1]] == math.ldexp(1.5, 16 - 11 + 52)
+    assert table[math.frexp(2.0**16)[1]] is None
     assert set(format_params("fp64").binade_constants) == {0.0}
     # binary64's identity table belongs to its parameters, not to any t > 26
     wide = FloatFormat("wide", 40, -100, 100, True)
     assert set(wide.binade_constants) == {None}
     for v in _edge_values(wide):
         assert _same(round_to_format(v, wide), ref.round_reference(v, wide)), v
+
+    # the top binade rounds by its constant and an overflow test, never by chop
+    def no_chop(x, fmt):
+        raise AssertionError(f"chop({x!r}) called")
+
+    monkeypatch.setattr(precision, "chop", no_chop)
+    for name in ("fp16", "bfloat16", T4 + "1"):
+        fmt = format_params(name)
+        assert fmt.binade_constants[fmt.emax + 1] is not None
+        for v in _top_binade_values(fmt):
+            assert _same(round_to_format(v, fmt), ref.round_reference(v, fmt)), (name, v)
 
 
 @pytest.mark.parametrize("name", FORMATS)
@@ -117,10 +147,20 @@ def test_chop_matches_round_to_format_hypothesis(name):
     check()
 
 
+# per format: big + 1 overflows exp, and every exp in tiny underflows to zero
+_ROW_RANGES = {
+    "fp16": (12.0, (-30.0, -18.0)),
+    "bfloat16": (90.0, (-100.0, -89.0)),
+    "fp32": (88.0, (-130.0, -105.0)),
+    T4 + "1": (4.0, (-12.0, -7.5)),
+    T4 + "0": (4.0, (-12.0, -7.5)),
+}
+
+
 def _rows(fmt_name: str, rng: np.random.Generator, n: int) -> list[list[float]]:
     """Ordinary rows, rows that overflow the basic form, and rows whose
     exponentials all underflow to zero."""
-    big, tiny = {"fp16": (12.0, (-30.0, -18.0)), "bfloat16": (90.0, (-100.0, -89.0))}[fmt_name]
+    big, tiny = _ROW_RANGES[fmt_name]
     rows = [rng.uniform(-20.0, 20.0, n) for _ in range(6)]
     for _ in range(3):
         row = rng.uniform(-5.0, big + 3.0, n)
@@ -139,8 +179,8 @@ def _check_row(batch, i, want, label):
     assert raised(batch, i) == want.flags, (label, i)
 
 
-@pytest.mark.parametrize("fmt_name", ["fp16", "bfloat16"])
-@pytest.mark.parametrize("n", [1, 2, 9, 40])
+@pytest.mark.parametrize("fmt_name", list(_ROW_RANGES))
+@pytest.mark.parametrize("n", [1, 2, 9, 40, 1000])
 def test_batch_kernels_match_scalar_kernels(fmt_name, n):
     fmt = format_params(fmt_name)
     rng = np.random.default_rng([n, len(fmt_name)])
@@ -162,6 +202,107 @@ def test_batch_kernels_match_scalar_kernels(fmt_name, n):
     # the batches reach both pathologies the rows were built for
     assert "overflowed" in flagged
     assert "sum_underflowed_to_zero" in flagged
+
+
+def _sum_reference(row: list[float], fmt) -> float:
+    s = row[0]
+    for w in row[1:]:
+        s = round_to_format(s + w, fmt)
+    return s
+
+
+def _check_sums(rows: list[list[float]], fmt) -> None:
+    got = kernels._sum_left_to_right(np.array(rows), fmt).tolist()
+    for row, s in zip(rows, got):
+        assert _same(s, _sum_reference(row, fmt)), (fmt.name, row, s)
+
+
+def _sum_edge_rows(fmt) -> list[list[float]]:
+    """Rows whose partial sums, inside a cached binade [a, 2a), tie at its
+    lower edge, tie at its upper edge and round up onto 2a, or land exactly
+    on 2a; then subnormal and zero terms, sums in the top binade that do and
+    do not round to inf, and +inf terms."""
+    t, emax = fmt.precision_bits, fmt.emax
+    lowest = fmt.emin + 1 if fmt.subnormals_enabled else fmt.emin + t + 1
+    rows = []
+    for j in range(lowest, emax):
+        a, half_ulp = math.ldexp(1.0, j), math.ldexp(1.0, j - t)
+        rows += [
+            [a / 2, a / 2, half_ulp],  # a, then a + ulp/2: ties down to a
+            [a, a / 2, a / 2 - half_ulp],  # 1.5a, then 2a - ulp/2: ties up to 2a
+            [a, a / 2, a / 4, a / 4],  # 1.5a, 1.75a, then exactly 2a
+        ]
+    top, top_half_ulp = math.ldexp(1.0, emax), math.ldexp(1.0, emax - t)
+    sub = fmt.r_min_subnormal
+    rows += [
+        [0.0, sub, 0.0, sub, sub, 0.0],
+        [0.0, 0.0],
+        [top, top / 2, top / 2 - top_half_ulp],  # r_max + ulp/2 rounds to inf
+        [top, top / 2, top / 2 - 2 * top_half_ulp, top_half_ulp / 2],  # stays r_max
+        [top, top / 4, top / 4],
+        [fmt.r_max, fmt.r_max, 1.0],
+        [1.0, math.inf, 1.0],
+        [math.inf, 0.0],
+    ]
+    return rows
+
+
+@pytest.mark.parametrize("name", ["fp16", "bfloat16", "fp32", T4 + "1", T4 + "0"])
+def test_sum_left_to_right_on_binade_edges(name):
+    fmt = format_params(name)
+    for row in _sum_edge_rows(fmt):
+        _check_sums([row], fmt)
+
+
+def _term_pool(fmt) -> list[float]:
+    """Nonnegative format values: zero, +inf, and in every binade its
+    lower edge, the next value up and its largest value."""
+    j = math.frexp(fmt.r_min_subnormal)[1] - 1
+    raw = [0.0, math.inf, fmt.r_max]
+    for e in range(j, fmt.emax + 1):
+        a = math.ldexp(1.0, e)
+        raw += [a, a * (1.0 + math.ldexp(1.0, 1 - fmt.precision_bits)),
+                a * (2.0 - math.ldexp(1.0, 1 - fmt.precision_bits))]
+    return sorted({round_to_format(v, fmt) for v in raw})
+
+
+@pytest.mark.parametrize("name", [
+    "fp16", "bfloat16", "fp32", "fp64", T4 + "1", T4 + "0",
+    "custom:t=11,emin=3,emax=9,subnormals=1",
+])
+def test_sum_left_to_right_matches_per_term_rounding_hypothesis(name):
+    fmt = format_params(name)
+    pool = np.array(_term_pool(fmt))
+    lowest = math.log2(fmt.r_min_subnormal)
+
+    @given(st.integers(1, 40), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def check(n, rows, seed):
+        # each row's terms lie within eight binades below a random scale,
+        # so runs of partial sums share a binade; about a third come from the pool
+        rng = np.random.default_rng(seed)
+        scale = rng.uniform(lowest, fmt.emax + 1, (rows, 1))
+        with np.errstate(over="ignore"):
+            w = chop(np.exp2(scale - rng.uniform(0.0, 8.0, (rows, n))), fmt)
+        w = np.where(rng.random((rows, n)) < 0.3, rng.choice(pool, (rows, n)), w)
+        _check_sums(w.tolist(), fmt)
+
+    check()
+
+
+def test_sum_calls_round_to_format_only_when_the_binade_changes(monkeypatch):
+    calls = []
+
+    def counting(v, fmt):
+        calls.append(v)
+        return round_to_format(v, fmt)
+
+    monkeypatch.setattr(kernels, "round_to_format", counting)
+    s = kernels._sum_left_to_right(np.ones((1, 1000)), format_params("bfloat16"))
+    # 256 + 1 ties to even: the sum stops growing at 256
+    assert s.tolist() == [256.0]
+    # the partial sums 2, 4, ..., 256 each enter a new binade; the rest stay in theirs
+    assert calls == [2.0**k for k in range(1, 9)]
 
 
 def test_single_vector_is_a_one_row_batch():

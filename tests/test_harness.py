@@ -22,6 +22,7 @@ from lselab.kernels import (
     FLAG_PRODUCED_INF,
     FLAG_PRODUCED_NAN,
     FLAG_SUM_UNDERFLOWED,
+    softmax_alt,
 )
 from lselab.precision import format_params, round_to_format
 from lselab.quantities import KERNELS, QUANTITIES
@@ -186,6 +187,29 @@ class TestRunExperiment:
         emit_vectors_csv([[1.0, 2.0], [3.0], [4.0, 5.0, 6.0], [7.0, 8.0], [9.0]], path)
         run_experiment(ingest_csv(path), FP16)
         assert len(calls) == 3
+
+    @pytest.mark.parametrize("rows,fmt_name,calls_made", [
+        # bfloat16 at this range: both log-sum-exps agree on every row
+        (np.random.default_rng(3).uniform(-20.0, 20.0, (4, 50)).tolist(), "bfloat16", 1),
+        # the third row overflows the basic form, so its y differs
+        ([[1.0, 2.0, 3.0], [0.5, -1.0, 2.0], [12.0, 0.0, 1.0]], "fp16", 2),
+    ])
+    def test_alt_softmax_shared_when_the_log_sum_exps_agree(
+        self, monkeypatch, rows, fmt_name, calls_made
+    ):
+        calls = []
+
+        def counting(xs, y, ctx):
+            calls.append(y)
+            return softmax_alt(xs, y, ctx)
+
+        monkeypatch.setattr(lselab.harness, "softmax_alt", counting)
+        records = run_experiment(rows, format_params(fmt_name))
+        assert len(calls) == calls_made
+        monkeypatch.undo()
+        for i, x in enumerate(rows):  # each row's records are those it gets alone
+            alone = run_experiment([x], format_params(fmt_name))
+            assert same_records(select(records, [i], -i), alone), i
 
     def test_trial_rounds_inputs(self):
         # unrounded input and its rounded twin give identical records
