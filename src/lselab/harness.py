@@ -289,15 +289,21 @@ def _run_batch(
         "y_ref": y_ref,
     }
     factors = bound_leading_term(xs, y_ref)
+    # alt_shifted may be alt_basic itself: measure each distinct softmax once
+    g_errors, sum_devs = {}, {}
+    for res in runs.values():
+        if id(res) not in g_errors:
+            g_errors[id(res)] = scaled_errors_vec(res.g, g_ref, fmt)
+            sum_devs[id(res)] = _sum_deviations(res.g, u)
     for q in QUANTITIES:
         res = runs[q.kernel]
         if q.lse:
             columns[q.err] = scaled_errors(res.y, y_ref, fmt)
         else:
-            columns[q.err] = scaled_errors_vec(res.g, g_ref, fmt)
+            columns[q.err] = g_errors[id(res)]
         columns[q.bnd] = factors[q.bound_id]
     for kernel, column in SUM_DEV_COLUMNS.items():
-        columns[column] = _sum_deviations(runs[kernel].g, u)
+        columns[column] = sum_devs[id(runs[kernel])]
     return columns, {kernel: runs[kernel].flags for kernel in KERNELS}
 
 

@@ -11,13 +11,19 @@ precision floating-point arithmetic", SIAM J. Sci. Comput., 2019).  It is the
 one definition of rounding to a format here; ``ArithmeticContext`` applies it
 to array operands, and ``round_to_format`` rounds one value the same way, bit
 for bit.  Where ``FloatFormat.binade_constants`` has a constant C for the
-binade of x, that is one binary64 addition, (x + C) - C, and a test for
-overflow; elsewhere it is ``chop``.  The table covers the binades whose
-values round to a nonzero, subnormal ones included (their spacing is
-constant, so they share the emin binade's C), up to the top one.  The
-binade holding the tie that rounds to zero is left out, because
-(x + C) - C gives +0.0 where -0.0 is right.  For binary64 every C is 0.0:
-each binary64 value is its own rounding.
+binade of x, that is one binary64 addition, copysign((x + C) - C, x), and a
+test for overflow; elsewhere it is ``chop``.  The table covers every binade
+whose C fits in binary64: subnormal ones and those below the smallest
+subnormal, which round to +-0, share the emin binade's spacing (or r_min's,
+when subnormals are flushed), and those above the top one overflow.  For
+binary64 every C is 0.0: each binary64 value is its own rounding.
+
+exp, log and log1p round the C library's value, as ``chop`` would.  For
+t <= 26 ``ArithmeticContext`` computes them with numpy's vector functions
+and the same table, and calls the C library only for the entries that a tie
+certificate cannot vouch for: numpy's value may differ from the C library's
+in the last binary64 bit, which changes the rounded result only within
+about 2^-40 |v| of a rounding tie of the format.
 """
 
 from __future__ import annotations
@@ -100,45 +106,82 @@ class FloatFormat:
     def binade_constants(self) -> tuple[float | None, ...]:
         """``round_to_format``'s constants C, indexed by ``math.frexp`` exponent e.
 
-        With k = max(e, emin + 1) and C = 1.5 * 2^(k - t + 52), (x + C) - C is
-        x in the binade [2^(e-1), 2^e) rounded to the format, ties to even:
+        C = 1.5 * 2^(s + 52), where 2^s is the format's spacing in the binade
+        [2^(e-1), 2^e): s = e - t in a normal binade (e > emin) and in every
+        binade above the top one; below 2^emin, s = emin - t + 1 (the
+        subnormal spacing) with gradual underflow and s = emin (the grid
+        {0, r_min}) when subnormals are flushed.  Then copysign((x + C) - C, x)
+        is x rounded to that grid, ties to even:
 
-        * C's binade has binary64 spacing 2^(k-t), the format's spacing at x:
-          the ulp of a normal binade (k = e), or the subnormal spacing
-          2^(emin-t+1) below 2^emin (k = emin + 1, the emin binade's C);
-        * |x| < 2^k <= C/3 (true for t <= 51), so x + C stays in C's binade;
+        * C's binade has binary64 spacing 2^s;
+        * |x| < 2^e <= C/3 (true for t <= 51), so x + C stays in C's binade;
         * that one addition rounds to nearest, ties to even, and
-          C / 2^(k-t) = 1.5 * 2^52 is even, so a tie goes to the same
-          neighbour that ties-to-even rounding of x itself picks;
-        * (x + C) - C is exact (both operands lie in one binade).
+          C / 2^s = 1.5 * 2^52 is even, so a tie goes to the same neighbour
+          that ties-to-even rounding of x itself picks; below the smallest
+          subnormal (or below r_min/2 when flushing) that neighbour is 0;
+        * (x + C) - C is exact (both operands lie in one binade), and
+          copysign gives a zero result x's sign (+0.0 would be wrong for a
+          negative x).
 
-        Entries exist for the binades up to the top one, [2^emax, 2^(emax+1)),
-        that are normal or, with gradual underflow, at or above the smallest
-        subnormal 2^(emin-t+1).  Below the top binade a result of +-2^e is
-        representable; in the top one a result above r_max (from the tie
-        r_max + ulp/2 up) is an overflow, which ``round_to_format`` turns
-        into +-inf.  The binade below the smallest subnormal holds the tie
-        2^(emin-t) that rounds to zero: (x + C) - C would give +0.0 for a
-        negative x, not -0.0, so it has no entry.  Nor has a binade whose
-        C would overflow binary64, nor any binade when t > 26.  C is normal for
-        every format ``format_params`` accepts.  +-inf and NaN come back
-        unchanged; ``round_to_format`` returns a zero as it is, keeping its sign.
+        On this grid the tie r_max + ulp/2 and everything at or above
+        2^(emax+1) round to a value above r_max, which ``round_to_format``
+        turns into +-inf.  Every binade whose C fits in binary64 has an entry;
+        a binade whose C would overflow (e - t + 52 > 1023, possible only
+        above the top binade, or in it when emax > 970 + t) has none, nor has
+        any binade when t > 26.  C is normal for every format
+        ``format_params`` accepts.  frexp gives +-0, +-inf and NaN the
+        exponent 0, and their entry rounds them to themselves.
 
         binary64 (t = 53, emin = -1022, emax = 1023, subnormals) maps every e
         to C = 0.0, the identity.  The test is on all four parameters, not on
         t: a ``FloatFormat`` built directly with another t > 26 has no entries.
         """
-        t, emin, emax = self.precision_bits, self.emin, self.emax
-        if (t, emin, emax, self.subnormals_enabled) == NAMED_FORMATS["fp64"]:
+        t, emin = self.precision_bits, self.emin
+        if (t, emin, self.emax, self.subnormals_enabled) == NAMED_FORMATS["fp64"]:
             return (0.0,) * len(_FREXP_EXPONENTS)
-        lowest = emin - t + 2 if self.subnormals_enabled else emin + 1
-        return tuple(
-            math.ldexp(1.5, max(e, emin + 1) - t + 52)
-            if t <= MAX_CUSTOM_PRECISION and lowest <= e <= emax + 1
-            and max(e, emin + 1) - t + 52 <= 1023
-            else None
-            for e in _FREXP_EXPONENTS
-        )
+        if t > MAX_CUSTOM_PRECISION:
+            return (None,) * len(_FREXP_EXPONENTS)
+        below = emin - t + 1 if self.subnormals_enabled else emin
+        spacings = (e - t if e > emin else below for e in _FREXP_EXPONENTS)
+        return tuple(math.ldexp(1.5, s + 52) if s + 52 <= 1023 else None for s in spacings)
+
+    @functools.cached_property
+    def tie_certificate(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """The tables ``ArithmeticContext``'s exp, log and log1p round with;
+        None when t > 26.
+
+        Both are float64 arrays indexed by a double's sign and biased
+        exponent, its bits >> 52.  The first holds ``binade_constants``' C
+        of each binade.  The second holds the threshold
+        T = ulp/2 - 2^(e-40) for the binade [2^(e-1), 2^e), where ulp is
+        the format's spacing there.  A value v of the binade whose rounding
+        r lies closer than T lies farther than 2^(e-40) > 2^-40 |v| from
+        every tie of the format.  T is rounded down where binary64 cannot
+        hold it, and is -inf, so that no entry passes, in a binade without
+        C (whose C reads 0.0).
+
+        Biased exponent 0 holds the zeros and binary64's subnormals, whose
+        error is not relative to their value.  Where the format's spacing
+        below 2^emin is at least 2^-1022, its C is that grid's and its T is
+        2^-1074: a zero passes (|v - r| = 0) and a subnormal does not (it
+        is off the grid).  A zero stands for a value below 2^-1023 at most,
+        which that grid rounds to the same zero.  With a finer grid, T is
+        -inf.  Biased exponent 2047 holds +-inf and NaN, which pass: C is
+        0.0 and T +inf.
+        """
+        if self.precision_bits > MAX_CUSTOM_PRECISION:
+            return None
+        # the binade [2^(e-1), 2^e) of biased exponents 1..2046; 0 and 2047 are set below
+        e = np.arange(-1022, 1026)
+        c = np.array([0.0 if v is None else v for v in self.binade_constants])[e]
+        half_ulp = np.ldexp(c / 3.0, -52)  # C / 3 = 2^(s + 51), exactly
+        # where binary64 cannot hold 2^(s-1) - 2^(e-40), subtract half_ulp's last bit
+        margin = np.maximum(np.ldexp(1.0, e - 40), np.ldexp(half_ulp, -52))
+        threshold = np.where(c > 0.0, half_ulp - margin, -np.inf)
+        c[0], c[-1] = self.binade_constants[-1073] or 0.0, 0.0  # -1073: the binade of 2^-1074
+        threshold[0] = 2.0**-1074 if c[0] >= math.ldexp(1.5, -1022 + 52) else -np.inf
+        threshold[-1] = np.inf
+        return np.tile(c, 2), np.tile(threshold, 2)
 
 
 @functools.lru_cache(maxsize=32)
@@ -180,9 +223,7 @@ def round_to_format(x: float, fmt: FloatFormat) -> float:
     c = fmt.binade_constants[math.frexp(x)[1]]
     if c is None:
         return float(chop(x, fmt))
-    if not x:
-        return x
-    r = (x + c) - c  # see FloatFormat.binade_constants
+    r = math.copysign((x + c) - c, x)  # see FloatFormat.binade_constants
     return math.copysign(math.inf, x) if abs(r) > fmt.r_max else r
 
 
@@ -244,11 +285,12 @@ def _libm(fast, ieee, a) -> np.ndarray:
     """``fast`` (a ``math`` function) on each entry, or ``ieee`` (its numpy
     twin) on the entries where ``fast`` raises.
 
-    Transcendental functions go through the C library one value at a time:
-    numpy's vector ``exp`` and ``log1p`` differ from it in the last bit on a
-    few percent of arguments, which would change every measured error.
-    ``math`` raises only where the IEEE result is +-inf or NaN (exp
-    overflow, log of zero or of a negative), and there numpy's is exact.
+    The C library's value is the reference for exp, log and log1p: numpy's
+    vector functions may differ from it in the last binary64 bit, and
+    ``ArithmeticContext`` uses them only where that bit cannot change the
+    rounded result.  ``math`` raises only where the IEEE result is +-inf or
+    NaN (exp overflow, log of zero or of a negative), and there numpy's is
+    exact.
     """
     a = np.asarray(a, dtype=np.float64)
     values = a.ravel().tolist()
@@ -264,9 +306,32 @@ def _libm(fast, ieee, a) -> np.ndarray:
 class ArithmeticContext:
     """Arithmetic used by the evaluation kernels, on scalars or whole arrays.
 
-    Every operation is computed in binary64 (``+ - * /`` as IEEE numpy
-    operations, ``exp``/``log``/``log1p`` by the C library) and its result
-    rounded to ``fmt`` with :func:`chop` (round-to-nearest, ties-to-even).
+    Every operation is computed in binary64 and its result rounded to
+    ``fmt`` (round-to-nearest, ties-to-even), as :func:`chop` rounds.
+    ``+ - * /`` are IEEE numpy operations.  ``exp``, ``log`` and ``log1p``
+    give ``chop`` of the C library's value, bit for bit, and for t <= 26
+    compute it with a tie certificate:
+
+    * v is numpy's vector function and r its rounding copysign((v + C) - C, v),
+      with the C of v's binade [2^(e-1), 2^e) (``binade_constants``);
+    * where |v - r| < T, the binade's threshold ulp/2 - 2^(e-40)
+      (``FloatFormat.tie_certificate``), v lies farther than
+      2^(e-40) > 2^-40 |v| from every tie of the format.
+      Rounding to nearest is a step function whose only jumps are at ties,
+      so the C library's value, which differs from v by at most 2^-40 |v|
+      (a few binary64 ulps in practice; the tests check the bound on every
+      fp16 and bfloat16 argument), rounds to r as well;
+    * +-inf and NaN pass as they are.  Where numpy's value is +-inf, the C
+      library's is too, or lies within a few ulps of the largest double,
+      which every format with t <= 26 rounds to inf; where numpy's is NaN,
+      so is the C library's.  A zero passes when the format's spacing near
+      zero is at least 2^-1022: the C library's value is then the same zero
+      or below 2^-1023, which rounds to it (the tests check all three);
+    * every other entry (near a tie, a binary64 subnormal, a zero in a
+      format with a finer grid, or in a binade without C) is ``chop`` of
+      the C library's value.
+
+    For t > 26 (``fp64``) every entry takes the C library's value.
     Rounding to ``fp64`` leaves every binary64 value unchanged, so that
     context is native binary64.
     """
@@ -276,6 +341,25 @@ class ArithmeticContext:
     def _binop(self, op, a, b):
         with np.errstate(all="ignore"):  # inf and NaN results are the point
             return chop(op(a, b), self.fmt)
+
+    def _transcendental(self, fast, ieee, a):
+        """``chop(_libm(fast, ieee, a))``, with ``ieee``'s value where certified."""
+        tables = self.fmt.tie_certificate
+        if tables is None:
+            return chop(_libm(fast, ieee, a), self.fmt)
+        a = np.asarray(a, dtype=np.float64)
+        flat = a.reshape(-1)
+        with np.errstate(all="ignore"):
+            v = ieee(flat)
+            field = v.view(np.uint64) >> 52
+            c = tables[0].take(field)
+            r = (v + c) - c  # |v - r| does not depend on the sign of a zero r
+            # False where v is +-inf or NaN: v - r is NaN there
+            uncertified = np.abs(v - r) >= tables[1].take(field)
+            r = np.copysign(np.where(np.abs(r) > self.fmt.r_max, np.inf, r), v)
+        if uncertified.any():
+            r[uncertified] = chop(_libm(fast, ieee, flat[uncertified]), self.fmt)
+        return r.reshape(a.shape)[()]  # the array itself, or the scalar of a 0-d array
 
     def add(self, a, b):
         return self._binop(np.add, a, b)
@@ -290,10 +374,10 @@ class ArithmeticContext:
         return self._binop(np.divide, a, b)
 
     def exp(self, a):
-        return chop(_libm(math.exp, np.exp, a), self.fmt)
+        return self._transcendental(math.exp, np.exp, a)
 
     def log(self, a):
-        return chop(_libm(math.log, np.log, a), self.fmt)
+        return self._transcendental(math.log, np.log, a)
 
     def log1p(self, a):
-        return chop(_libm(math.log1p, np.log1p, a), self.fmt)
+        return self._transcendental(math.log1p, np.log1p, a)

@@ -30,6 +30,7 @@ FORMATS = [
     "fp64",  # every binade constant is 0.0: the table is the identity
     "custom:t=5,emin=-6,emax=7,subnormals=0",
     "custom:t=26,emin=-1000,emax=1023,subnormals=1",  # no constant above 2^997
+    "custom:t=8,emin=-100,emax=979,subnormals=1",  # the top binade has no constant
     "custom:t=8,emin=-1067,emax=10,subnormals=1",
     "custom:t=3,emin=-2,emax=1023,subnormals=0",
     "custom:t=11,emin=3,emax=9,subnormals=1",  # inf and NaN index [0.5, 1), a subnormal binade
@@ -72,6 +73,15 @@ def _edge_values(fmt) -> list[float]:
     vals += [r_min, math.nextafter(r_min, 0.0), r_min / 2,
              math.nextafter(r_min / 2, 0.0), math.nextafter(r_min / 2, 1.0)]
     vals += [(k + 0.5) * tiny for k in range(4)] + [tiny, tiny / 2, math.nextafter(tiny / 2, 1.0)]
+    # every binade below the smallest nonzero value, which rounds to a zero
+    # (-0.0 for the negated copies below): both ends and the middle
+    for j in range(-1074, math.frexp(fmt.r_min_subnormal)[1] - 1):
+        lo = math.ldexp(1.0, j)
+        vals += [lo, 1.5 * lo, math.nextafter(2.0 * lo, 0.0)]
+    # at and above 2^(emax+1), which overflow
+    for j in range(fmt.emax + 1, min(fmt.emax + 4, 1024)):
+        lo = math.ldexp(1.0, j)
+        vals += [lo, math.nextafter(lo, math.inf), 1.5 * lo, math.nextafter(2.0 * lo, 0.0)]
     return vals + [-v for v in vals]
 
 
@@ -105,13 +115,24 @@ def test_chop_matches_round_to_format_on_edges(name):
 def test_binade_table_entries(monkeypatch):
     table = format_params("fp16").binade_constants
     emin_constant = table[math.frexp(2.0**-14)[1]]
-    # every subnormal binade shares the emin binade's constant ...
-    assert {table[math.frexp(2.0**j)[1]] for j in range(-24, -14)} == {emin_constant}
-    # ... but the one below the smallest subnormal holds a tie to zero
-    assert table[math.frexp(2.0**-25)[1]] is None
-    # the top binade [2^15, 2^16) has its own constant; above it there is none
+    # every binade below 2^emin shares the emin binade's constant, down to
+    # the one holding 2^-1074: C rounds below the smallest subnormal to +-0
+    assert {table[math.frexp(2.0**j)[1]] for j in range(-1074, -14)} == {emin_constant}
+    # the top binade [2^15, 2^16) has its own constant, and so has each above it
     assert table[math.frexp(2.0**15)[1]] == math.ldexp(1.5, 16 - 11 + 52)
-    assert table[math.frexp(2.0**16)[1]] is None
+    assert table[math.frexp(2.0**16)[1]] == math.ldexp(1.5, 17 - 11 + 52)
+    # ... while its C fits in binary64: up to e - t + 52 = 1023
+    assert table[1023 + 11 - 52] is not None and table[1024 + 11 - 52] is None
+    # flushing subnormals, the grid below 2^emin is {0, r_min}
+    bf16 = format_params("bfloat16").binade_constants
+    assert {bf16[math.frexp(2.0**j)[1]] for j in range(-1074, -126)} == {math.ldexp(1.5, -126 + 52)}
+    # with emax > 970 + t, the top binade e = emax + 1 has no C
+    for name in ("custom:t=3,emin=-2,emax=1023,subnormals=0",
+                 "custom:t=8,emin=-100,emax=979,subnormals=1"):
+        fmt = format_params(name)
+        last = 1023 + fmt.precision_bits - 52
+        assert last < fmt.emax + 1
+        assert fmt.binade_constants[last] is not None and fmt.binade_constants[last + 1] is None
     assert set(format_params("fp64").binade_constants) == {0.0}
     # binary64's identity table belongs to its parameters, not to any t > 26
     wide = FloatFormat("wide", 40, -100, 100, True)
@@ -119,16 +140,18 @@ def test_binade_table_entries(monkeypatch):
     for v in _edge_values(wide):
         assert _same(round_to_format(v, wide), ref.round_reference(v, wide)), v
 
-    # the top binade rounds by its constant and an overflow test, never by chop
+    # the top binade and every binade with a C round by it and an overflow
+    # test, never by chop: zeros, values that round to +-0 and values >= 2^(emax+1)
     def no_chop(x, fmt):
         raise AssertionError(f"chop({x!r}) called")
 
     monkeypatch.setattr(precision, "chop", no_chop)
-    for name in ("fp16", "bfloat16", T4 + "1"):
+    for name in ("fp16", "bfloat16", T4 + "1", T4 + "0"):
         fmt = format_params(name)
         assert fmt.binade_constants[fmt.emax + 1] is not None
-        for v in _top_binade_values(fmt):
-            assert _same(round_to_format(v, fmt), ref.round_reference(v, fmt)), (name, v)
+        for v in _top_binade_values(fmt) + _edge_values(fmt):
+            if abs(v) < 1e300:
+                assert _same(round_to_format(v, fmt), ref.round_reference(v, fmt)), (name, v)
 
 
 @pytest.mark.parametrize("name", FORMATS)
