@@ -6,17 +6,21 @@ target formats with at most 26 significand bits the binary64 intermediate
 carries more than twice the target precision, so the rounded binop result is
 the correctly rounded one (no double-rounding hazard).
 
-``chop`` rounds a whole float64 array (Higham & Pranesh, "Simulating low
-precision floating-point arithmetic", SIAM J. Sci. Comput., 2019).  It is the
-one definition of rounding to a format here; ``ArithmeticContext`` applies it
-to array operands, and ``round_to_format`` rounds one value the same way, bit
-for bit.  Where ``FloatFormat.binade_constants`` has a constant C for the
-binade of x, that is one binary64 addition, copysign((x + C) - C, x), and a
-test for overflow; elsewhere it is ``chop``.  The table covers every binade
-whose C fits in binary64: subnormal ones and those below the smallest
-subnormal, which round to +-0, share the emin binade's spacing (or r_min's,
-when subnormals are flushed), and those above the top one overflow.  For
-binary64 every C is 0.0: each binary64 value is its own rounding.
+``chop`` rounds a whole float64 array, ``round_to_format`` one value, bit for
+bit alike.  The definition of rounding is ``_round_by_scaling``, Higham &
+Pranesh's ``chop`` ("Simulating low precision floating-point arithmetic",
+SIAM J. Sci. Comput., 2019): scale x so that the format's spacing at x is 1,
+round to an integer and scale back.  The fast path is one binary64 addition,
+copysign((x + C) - C, x), with the constant C of x's binade
+(``FloatFormat.binade_constants``), and a test for overflow.  The table covers
+every binade whose C fits in binary64: subnormal ones and those below the
+smallest subnormal, which round to +-0, share the emin binade's spacing (or
+r_min's, when subnormals are flushed), and those above the top one overflow.
+For binary64 every C is 0.0: each binary64 value is its own rounding.
+``round_to_format`` takes the fast path wherever its binade has a C.
+``chop`` is its array twin, ``_round_by_table``, for every format whose
+table rounds every double (``FloatFormat.rounds_by_table``: fp16, bfloat16,
+fp32 and most custom formats); the others take the definition.
 
 exp, log and log1p round the C library's value, as ``chop`` would.  For
 t <= 26 ``ArithmeticContext`` computes them with numpy's vector functions
@@ -66,7 +70,7 @@ _CUSTOM_RE = re.compile(
 # NaN and zeros give 0.  Binade tables list exponents 0..1024 and then
 # -1073..-1, so that Python's negative indexing maps every exponent e to
 # its own entry: table[e].
-_FREXP_EXPONENTS = (*range(1025), *range(-1073, 0))
+_FREXP_EXPONENTS = np.concatenate((np.arange(1025), np.arange(-1073, 0)))
 
 
 @dataclass(frozen=True)
@@ -141,24 +145,32 @@ class FloatFormat:
             return (0.0,) * len(_FREXP_EXPONENTS)
         if t > MAX_CUSTOM_PRECISION:
             return (None,) * len(_FREXP_EXPONENTS)
+        c = self._constant_column(_FREXP_EXPONENTS)
+        return tuple(np.where(c > 0.0, c, None).tolist())
+
+    def _constant_column(self, e: np.ndarray) -> np.ndarray:
+        """``binade_constants``' C for each frexp exponent in ``e``, 0.0 where
+        a binade has none (t <= 26 only)."""
+        t, emin = self.precision_bits, self.emin
         below = emin - t + 1 if self.subnormals_enabled else emin
-        spacings = (e - t if e > emin else below for e in _FREXP_EXPONENTS)
-        return tuple(math.ldexp(1.5, s + 52) if s + 52 <= 1023 else None for s in spacings)
+        k = np.where(e > emin, e - t, below) + 52
+        return np.where(k <= 1023, np.ldexp(1.5, np.minimum(k, 1023)), 0.0)
 
     @functools.cached_property
     def tie_certificate(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """The tables ``ArithmeticContext``'s exp, log and log1p round with;
-        None when t > 26.
+        """The tables ``chop`` and ``ArithmeticContext``'s exp, log and log1p
+        round with; None when t > 26.
 
-        Both are float64 arrays indexed by a double's sign and biased
-        exponent, its bits >> 52.  The first holds ``binade_constants``' C
-        of each binade.  The second holds the threshold
-        T = ulp/2 - 2^(e-40) for the binade [2^(e-1), 2^e), where ulp is
-        the format's spacing there.  A value v of the binade whose rounding
-        r lies closer than T lies farther than 2^(e-40) > 2^-40 |v| from
-        every tie of the format.  T is rounded down where binary64 cannot
-        hold it, and is -inf, so that no entry passes, in a binade without
-        C (whose C reads 0.0).
+        Both are 4096-entry float64 arrays indexed by a double's sign and
+        biased exponent, its bits >> 52: ``x.view(np.int64) >> 52`` is that
+        index less 4096 for a negative x, which indexes from the end.  The
+        first holds ``binade_constants``' C of each binade.  The second
+        holds the threshold T = ulp/2 - 2^(e-40) for the binade
+        [2^(e-1), 2^e), where ulp is the format's spacing there.  A value
+        v of the binade whose rounding r lies closer than T lies farther
+        than 2^(e-40) > 2^-40 |v| from every tie of the format.  T is
+        rounded down where binary64 cannot hold it, and is -inf, so that no
+        entry passes, in a binade without C (whose C reads 0.0).
 
         Biased exponent 0 holds the zeros and binary64's subnormals, whose
         error is not relative to their value.  Where the format's spacing
@@ -171,17 +183,30 @@ class FloatFormat:
         """
         if self.precision_bits > MAX_CUSTOM_PRECISION:
             return None
-        # the binade [2^(e-1), 2^e) of biased exponents 1..2046; 0 and 2047 are set below
+        # biased exponent b holds the binade [2^(e-1), 2^e) with e = b - 1022,
+        # except b = 0 (set here) and b = 2047 (set below)
         e = np.arange(-1022, 1026)
-        c = np.array([0.0 if v is None else v for v in self.binade_constants])[e]
+        e[0] = -1073  # zeros and binary64 subnormals: the C of the binade of 2^-1074
+        c = self._constant_column(e)
         half_ulp = np.ldexp(c / 3.0, -52)  # C / 3 = 2^(s + 51), exactly
         # where binary64 cannot hold 2^(s-1) - 2^(e-40), subtract half_ulp's last bit
         margin = np.maximum(np.ldexp(1.0, e - 40), np.ldexp(half_ulp, -52))
         threshold = np.where(c > 0.0, half_ulp - margin, -np.inf)
-        c[0], c[-1] = self.binade_constants[-1073] or 0.0, 0.0  # -1073: the binade of 2^-1074
-        threshold[0] = 2.0**-1074 if c[0] >= math.ldexp(1.5, -1022 + 52) else -np.inf
+        c[-1] = 0.0
+        threshold[0] = 2.0**-1074 if self.r_min_subnormal >= 2.0**-1022 else -np.inf
         threshold[-1] = np.inf
         return np.tile(c, 2), np.tile(threshold, 2)
+
+    @functools.cached_property
+    def rounds_by_table(self) -> bool:
+        """Whether ``chop`` rounds every double with ``tie_certificate``'s C:
+        t <= 26, every binade up to the top one has a C (emax <= 970 + t),
+        and the grid near zero has spacing >= 2^-1022, so that one C serves
+        every binary64 subnormal.  Binades above the top one overflow with
+        or without a C."""
+        t = self.precision_bits
+        one_c_near_zero = self.r_min_subnormal >= 2.0**-1022
+        return t <= MAX_CUSTOM_PRECISION and self.emax <= 970 + t and one_c_near_zero
 
 
 @functools.lru_cache(maxsize=32)
@@ -235,20 +260,52 @@ def chop(x, fmt: FloatFormat):
     flush to +-0 or +-r_min, overflow gives +-inf, and signed zeros,
     infinities and NaN pass through.  A scalar argument gives a
     ``numpy.float64``.
+
+    Where ``fmt.rounds_by_table``, every entry is rounded as
+    ``round_to_format`` rounds one value: copysign((x + C) - C, x) with the
+    C of x's binade, then +-inf above r_max (``_round_by_table``).  Other
+    formats take the general path, ``_round_by_scaling``, which is the
+    definition both agree with bit for bit.
     """
-    x = np.asarray(x, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
-        _, e = np.frexp(x)
-        # Below r_min the grid spacing is that of the binade at emin.
-        shift = (fmt.precision_bits - 1) - np.maximum(e - 1, fmt.emin)
-        r = np.ldexp(np.rint(np.ldexp(x, shift)), -shift)
-        r = np.where(np.abs(r) > fmt.r_max, np.copysign(np.inf, x), r)
-        if not fmt.subnormals_enabled:
-            a = np.abs(x)
-            # Nearest of {0, +-r_min}; the tie at r_min/2 goes to 0 (even).
-            flushed = np.copysign(np.where(a <= 0.5 * fmt.r_min, 0.0, fmt.r_min), x)
-            r = np.where(a < fmt.r_min, flushed, r)
+        return _chop(x, fmt)
+
+
+def _chop(x, fmt: FloatFormat):
+    """``chop`` without its ``errstate``, for callers inside their own."""
+    x = np.asarray(x, dtype=np.float64)
+    r = _round_by_table(x, fmt) if fmt.rounds_by_table else _round_by_scaling(x, fmt)
     return r[()]  # the array itself, or the scalar of a 0-d array
+
+
+def _round_by_table(x: np.ndarray, fmt: FloatFormat) -> np.ndarray:
+    """x rounded with the C of its binade, looked up by its sign and exponent
+    bits in ``tie_certificate``; correct where ``fmt.rounds_by_table``."""
+    c = fmt.tie_certificate[0].take(x.view(np.int64) >> 52)
+    return _saturate((x + c) - c, x, fmt)
+
+
+def _saturate(r, x, fmt: FloatFormat) -> np.ndarray:
+    """r with +-inf where |r| > r_max, and the sign of x: the sign a zero
+    r = (x + C) - C lacks.  An array, 0-d for scalars."""
+    r = np.where(np.abs(r) > fmt.r_max, np.inf, r)
+    return np.copysign(r, x, out=r)
+
+
+def _round_by_scaling(x: np.ndarray, fmt: FloatFormat) -> np.ndarray:
+    """x scaled so that the format's spacing at x becomes 1, rounded to an
+    integer and scaled back (Higham & Pranesh's ``chop``); any format."""
+    _, e = np.frexp(x)
+    # Below r_min the grid spacing is that of the binade at emin.
+    shift = (fmt.precision_bits - 1) - np.maximum(e - 1, fmt.emin)
+    r = np.ldexp(np.rint(np.ldexp(x, shift)), -shift)
+    r = np.where(np.abs(r) > fmt.r_max, np.copysign(np.inf, x), r)
+    if not fmt.subnormals_enabled:
+        a = np.abs(x)
+        # Nearest of {0, +-r_min}; the tie at r_min/2 goes to 0 (even).
+        flushed = np.copysign(np.where(a <= 0.5 * fmt.r_min, 0.0, fmt.r_min), x)
+        r = np.where(a < fmt.r_min, flushed, r)
+    return r
 
 
 def as_batch(x) -> np.ndarray:
@@ -308,12 +365,14 @@ class ArithmeticContext:
 
     Every operation is computed in binary64 and its result rounded to
     ``fmt`` (round-to-nearest, ties-to-even), as :func:`chop` rounds.
-    ``+ - * /`` are IEEE numpy operations.  ``exp``, ``log`` and ``log1p``
-    give ``chop`` of the C library's value, bit for bit, and for t <= 26
-    compute it with a tie certificate:
+    ``+ - * /`` are IEEE numpy operations, rounded by ``chop`` (by the
+    binade table where ``fmt.rounds_by_table``).  ``exp``, ``log`` and
+    ``log1p`` give ``chop`` of the C library's value, bit for bit, and for
+    t <= 26 compute it with a tie certificate:
 
-    * v is numpy's vector function and r its rounding copysign((v + C) - C, v),
-      with the C of v's binade [2^(e-1), 2^e) (``binade_constants``);
+    * v is numpy's vector function and r its rounding (v + C) - C, with
+      the C of v's binade [2^(e-1), 2^e) (``binade_constants``), before
+      r's sign is set and values above r_max become +-inf;
     * where |v - r| < T, the binade's threshold ulp/2 - 2^(e-40)
       (``FloatFormat.tie_certificate``), v lies farther than
       2^(e-40) > 2^-40 |v| from every tie of the format.
@@ -340,7 +399,7 @@ class ArithmeticContext:
 
     def _binop(self, op, a, b):
         with np.errstate(all="ignore"):  # inf and NaN results are the point
-            return chop(op(a, b), self.fmt)
+            return _chop(op(a, b), self.fmt)
 
     def _transcendental(self, fast, ieee, a):
         """``chop(_libm(fast, ieee, a))``, with ``ieee``'s value where certified."""
@@ -348,18 +407,18 @@ class ArithmeticContext:
         if tables is None:
             return chop(_libm(fast, ieee, a), self.fmt)
         a = np.asarray(a, dtype=np.float64)
-        flat = a.reshape(-1)
         with np.errstate(all="ignore"):
-            v = ieee(flat)
-            field = v.view(np.uint64) >> 52
+            v = ieee(a)
+            field = v.view(np.int64) >> 52
             c = tables[0].take(field)
             r = (v + c) - c  # |v - r| does not depend on the sign of a zero r
+            # tested before _saturate, whose inf would fail every v that overflows;
             # False where v is +-inf or NaN: v - r is NaN there
             uncertified = np.abs(v - r) >= tables[1].take(field)
-            r = np.copysign(np.where(np.abs(r) > self.fmt.r_max, np.inf, r), v)
-        if uncertified.any():
-            r[uncertified] = chop(_libm(fast, ieee, flat[uncertified]), self.fmt)
-        return r.reshape(a.shape)[()]  # the array itself, or the scalar of a 0-d array
+            r = _saturate(r, v, self.fmt)
+            if uncertified.any():
+                r[uncertified] = _chop(_libm(fast, ieee, a[uncertified]), self.fmt)
+        return r[()]  # the array itself, or the scalar of a 0-d array
 
     def add(self, a, b):
         return self._binop(np.add, a, b)

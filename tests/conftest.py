@@ -38,6 +38,11 @@ def same_array(x, y) -> bool:
     return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
+def same_bits(a, b):
+    """Entrywise bit equality of two float64 arrays, any two NaNs counting as equal."""
+    return (a.view("int64") == b.view("int64")) | ((a != a) & (b != b))
+
+
 def same_result(a, b) -> bool:
     """Bit-for-bit equality of two ``BatchResult``s: y, g and every flag column."""
     return (

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from lselab.precision import (
     ArithmeticContext,
     FloatFormat,
+    chop,
     format_params,
     round_to_format,
 )
@@ -24,7 +25,7 @@ def bf16():
     return format_params("bfloat16")
 
 
-from conftest import match_3sf
+from conftest import match_3sf, same_bits
 
 
 def _bits(v: float) -> bytes:
@@ -180,6 +181,42 @@ class TestRoundToFormat:
             with np.errstate(over="ignore"):
                 theirs = float(np.float16(v))
             assert ours == theirs or (math.isnan(ours) and math.isnan(theirs))
+        with np.errstate(over="ignore"):
+            assert (chop(vals, fp16) == vals.astype(np.float16)).all()
+
+    @pytest.mark.parametrize("name,np_type,uint", [
+        ("fp16", "float16", "uint16"),
+        ("fp32", "float32", "uint32"),
+    ])
+    def test_chop_agrees_with_numpy_casts(self, name, np_type, uint):
+        # numpy's float64 -> float16/float32 casts are an independent
+        # rounding: compare on the format's values (every fp16 value, random
+        # fp32 ones), the ties between neighbours and the ties' binary64
+        # neighbours, and random doubles of every binade
+        import numpy as np
+
+        cast = getattr(np, np_type)
+        rng = np.random.default_rng(11)
+        if name == "fp16":
+            bits = np.arange(2**16, dtype=np.uint32)
+        else:
+            bits = rng.integers(0, 2**32, 200_000, dtype=np.uint64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = np.abs(bits.astype(uint).view(cast))
+            v = v[np.isfinite(v)]
+            a = v.astype(np.float64)
+            up = np.nextafter(v, cast(np.inf)).astype(np.float64)
+            # above r_max the next grid point is r_max + ulp, which overflows
+            down = np.nextafter(v, cast(0)).astype(np.float64)
+            up = np.where(np.isinf(up), 2 * a - down, up)
+            ties = (a + up) / 2
+            x = np.concatenate([a, ties, np.nextafter(ties, 0.0), np.nextafter(ties, np.inf)])
+            doubles = rng.integers(0, 2**64, 200_000, dtype=np.uint64).view(np.float64)
+            x = np.concatenate([x, -x, doubles])
+            theirs = x.astype(cast).astype(np.float64)
+        ours = chop(x, format_params(name))
+        same = same_bits(ours, theirs)
+        assert same.all(), (x[~same][:5], ours[~same][:5], theirs[~same][:5])
 
 
 class TestArithmeticContext:

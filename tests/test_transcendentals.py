@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import same_bits
 from lselab import precision
 from lselab.precision import ArithmeticContext, _libm, chop, format_params
 
@@ -38,11 +39,6 @@ def _bit_patterns(name: str) -> np.ndarray:
     return x[np.isfinite(x)]
 
 
-def _same_bits(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Entrywise bit equality, any two NaNs counting as equal."""
-    return (a.view(np.int64) == b.view(np.int64)) | (np.isnan(a) & np.isnan(b))
-
-
 def _libm_path(fmt, op: str, x: np.ndarray) -> np.ndarray:
     return chop(_libm(*FUNCTIONS[op], x), fmt)
 
@@ -53,11 +49,11 @@ def test_every_value_matches_the_libm_path(name, op):
     fmt = format_params(name)
     x = _bit_patterns(name)
     got = getattr(ArithmeticContext(fmt), op)(x)
-    assert _same_bits(got, _libm_path(fmt, op, x)).all()
+    assert same_bits(got, _libm_path(fmt, op, x)).all()
     # one vector, a batch and a scalar take the same path
     batch = getattr(ArithmeticContext(fmt), op)(x[:1000].reshape(10, 100))
-    assert _same_bits(batch.ravel(), got[:1000]).all()
-    assert _same_bits(np.array([getattr(ArithmeticContext(fmt), op)(x[7])]), got[7:8]).all()
+    assert same_bits(batch.ravel(), got[:1000]).all()
+    assert same_bits(np.array([getattr(ArithmeticContext(fmt), op)(x[7])]), got[7:8]).all()
 
 
 @pytest.mark.parametrize("name", ["fp16", "bfloat16"])
@@ -106,7 +102,7 @@ def test_matches_the_libm_path_hypothesis(name):
     def check(vals):
         x = np.array(vals)
         for op in FUNCTIONS:
-            assert _same_bits(getattr(ctx, op)(x), _libm_path(fmt, op, x)).all(), (op, vals)
+            assert same_bits(getattr(ctx, op)(x), _libm_path(fmt, op, x)).all(), (op, vals)
 
     check()
 
@@ -183,7 +179,7 @@ def test_certificate_sends_values_on_and_next_to_a_tie_to_libm(name, op, monkeyp
         wrong_sides += int((chop(fake, fmt) != want).sum())
         fallback.clear()
         got = ctx._transcendental(fast, lambda a, fake=fake: fake, x)
-        assert _same_bits(got, want).all(), (name, op, k)
+        assert same_bits(got, want).all(), (name, op, k)
         assert fallback == [len(x)], (name, op, k)
     assert wrong_sides > len(x)  # the stand-in values do straddle the ties
 
@@ -208,7 +204,7 @@ def test_certificate_keeps_values_a_few_ulps_off_libm(name, op, monkeypatch):
     monkeypatch.setattr(precision, "_libm", recording_libm)
     got = ArithmeticContext(fmt)._transcendental(fast, lambda a: fake, x)
     monkeypatch.undo()
-    assert _same_bits(got, chop(_libm(fast, ieee, x), fmt)).all()
+    assert same_bits(got, chop(_libm(fast, ieee, x), fmt)).all()
     sent = set(np.concatenate(seen).tolist()) if seen else set()
     r = chop(fake, fmt)
     for xi, v, ri in zip(x.tolist(), fake.tolist(), r.tolist()):
@@ -253,3 +249,18 @@ def test_tie_certificate_tables():
     # no C: a binade whose C would overflow, and any binade when t > 26
     assert thresholds[field(1e300)] == -math.inf
     assert format_params("fp64").tie_certificate is None
+
+
+@pytest.mark.parametrize("name", ["fp16", "bfloat16", "custom:t=4,emin=-6,emax=6,subnormals=1"])
+def test_overflowing_exp_needs_no_libm(monkeypatch, name):
+    # the tie test reads (v + C) - C before values above r_max become inf:
+    # an inf there would fail the certificate for every v that overflows
+    # and send it to the C library, with the same result, only slower.
+    # The results lie above 2^(emax+1), in binades that have a C: up to 2^(971 + t).
+    fmt = format_params(name)
+    ln2 = math.log(2.0)
+    x = np.linspace((fmt.emax + 1) * ln2 + 0.01, (970 + fmt.precision_bits) * ln2, 999)
+    calls = []
+    monkeypatch.setattr(precision, "_libm", lambda *args: calls.append(args))
+    got = ArithmeticContext(fmt).exp(x)
+    assert np.isinf(got).all() and calls == []
