@@ -351,7 +351,7 @@ def run_trial(trial_id: int, x: Sequence[float], fmt: FloatFormat) -> Records:
     """The one-trial records ``run_experiment`` gives vector ``x`` as trial ``trial_id``.
 
     Nothing in lselab calls it: it stays while ``perfbench/spans.py`` wraps
-    ``harness.run_trial`` by name (ROADMAP item 3 counts trials from the
+    ``harness.run_trial`` by name (ROADMAP item 4 counts trials from the
     records instead).
     """
     records = run_experiment([x], fmt)

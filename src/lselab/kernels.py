@@ -14,7 +14,7 @@ sum and, while the next one v stays inside it, rounds v with that binade's
 constant C as (v + C) - C.  That is v correctly rounded: one binary64
 addition that rounds at the format's spacing, then an exact subtraction,
 the same steps ``round_to_format`` takes for that binade (see
-``FloatFormat.binade_constants``), without the lookup.
+``FloatFormat.binade_table``), without the lookup.
 
 Numeric pathologies never raise: infinities and NaNs propagate with IEEE
 semantics and are reported through the result's flags.
@@ -76,7 +76,7 @@ def _sum_left_to_right(w: np.ndarray, fmt: FloatFormat) -> np.ndarray:
     binade (v + C) - C can give 2^(emax+1), where +inf is right.  A row
     stops once its sum is +inf, which every later term (>= 0) keeps.
     """
-    table, emax = fmt.binade_constants, fmt.emax
+    table, emax = fmt.frexp_constants, fmt.emax
     sums = []
     for row in w.tolist():
         terms = iter(row)

@@ -9,9 +9,10 @@ binary64 throughout, is kept as it ran before it took a batch.
 ``round_reference`` is the only scalar copy of the rounding rule: scaling by
 ``ldexp`` and Python's ``round`` (ties to even), with no lookup table and no
 numpy.  The package itself defines rounding once, in chop's general path
-``precision._round_by_scaling``, and rounds by a binade table wherever it
-can (``round_to_format``, and ``chop`` where ``FloatFormat.rounds_by_table``),
-so this function checks both independently.
+``precision._round_by_scaling``, and rounds by its one binade table,
+``FloatFormat.binade_table``, wherever it can (``round_to_format``, and
+``chop`` where ``FloatFormat.rounds_by_table``, fp64 included), so this
+function checks both independently.
 
 ``cond_softmax_reference`` is the softmax condition number as lselab
 computed it before it bounded the Jacobian's row sums: it builds the whole

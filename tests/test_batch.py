@@ -17,7 +17,6 @@ from lselab.kernels import lse_softmax_basic, lse_softmax_shifted, softmax_alt
 from lselab.oracle import lse_softmax_reference
 from lselab.precision import (
     ArithmeticContext,
-    FloatFormat,
     chop,
     format_params,
     round_to_format,
@@ -29,9 +28,10 @@ FORMATS = [
     "fp32",
     "fp64",  # every binade constant is 0.0: the table is the identity
     "custom:t=5,emin=-6,emax=7,subnormals=0",
-    "custom:t=26,emin=-1000,emax=1023,subnormals=1",  # no constant above 2^997
+    "custom:t=26,emin=-1000,emax=1023,subnormals=0",  # no constant above 2^997
+    "custom:t=26,emin=-997,emax=1023,subnormals=1",  # the same, with the grid 2^-1022 near zero
     "custom:t=8,emin=-100,emax=979,subnormals=1",  # the top binade has no constant
-    "custom:t=8,emin=-1067,emax=10,subnormals=1",
+    "custom:t=8,emin=-1015,emax=10,subnormals=1",  # subnormal spacing 2^-1022, the finest allowed
     "custom:t=3,emin=-2,emax=1023,subnormals=0",
     "custom:t=11,emin=3,emax=9,subnormals=1",  # inf and NaN index [0.5, 1), a subnormal binade
     "custom:t=4,emin=-6,emax=6,subnormals=1",
@@ -113,32 +113,33 @@ def test_chop_matches_round_to_format_on_edges(name):
 
 
 def test_binade_table_entries(monkeypatch):
-    table = format_params("fp16").binade_constants
+    table = format_params("fp16").frexp_constants
     emin_constant = table[math.frexp(2.0**-14)[1]]
     # every binade below 2^emin shares the emin binade's constant, down to
     # the one holding 2^-1074: C rounds below the smallest subnormal to +-0
     assert {table[math.frexp(2.0**j)[1]] for j in range(-1074, -14)} == {emin_constant}
-    # the top binade [2^15, 2^16) has its own constant, and so has each above it
+    # the top binade [2^15, 2^16) has its own constant; above it everything
+    # overflows, and C = 0.0 leaves each value to the overflow test
     assert table[math.frexp(2.0**15)[1]] == math.ldexp(1.5, 16 - 11 + 52)
-    assert table[math.frexp(2.0**16)[1]] == math.ldexp(1.5, 17 - 11 + 52)
-    # ... while its C fits in binary64: up to e - t + 52 = 1023
-    assert table[1023 + 11 - 52] is not None and table[1024 + 11 - 52] is None
+    assert {table[e] for e in range(17, 1025)} == {0.0}
+    # the scalar list is binade_table's C column, reordered by frexp exponent
+    constants = format_params("fp16").binade_table[0]
+    for v in (5e-324, 2.0**-1022, 2.0**-30, 0.75, 1.0, 3e4, 1e5, 1e308):
+        field = struct.unpack("<Q", struct.pack("<d", v))[0] >> 52
+        assert table[math.frexp(v)[1]] == constants[field] == constants[field - 4096], v
     # flushing subnormals, the grid below 2^emin is {0, r_min}
-    bf16 = format_params("bfloat16").binade_constants
+    bf16 = format_params("bfloat16").frexp_constants
     assert {bf16[math.frexp(2.0**j)[1]] for j in range(-1074, -126)} == {math.ldexp(1.5, -126 + 52)}
-    # with emax > 970 + t, the top binade e = emax + 1 has no C
+    # with emax > 970 + t, the binades from 2^(971 + t) up to the top one have
+    # no C (None: round_to_format takes chop), nor has any binade above them
     for name in ("custom:t=3,emin=-2,emax=1023,subnormals=0",
                  "custom:t=8,emin=-100,emax=979,subnormals=1"):
         fmt = format_params(name)
         last = 1023 + fmt.precision_bits - 52
         assert last < fmt.emax + 1
-        assert fmt.binade_constants[last] is not None and fmt.binade_constants[last + 1] is None
-    assert set(format_params("fp64").binade_constants) == {0.0}
-    # binary64's identity table belongs to its parameters, not to any t > 26
-    wide = FloatFormat("wide", 40, -100, 100, True)
-    assert set(wide.binade_constants) == {None}
-    for v in _edge_values(wide):
-        assert _same(round_to_format(v, wide), ref.round_reference(v, wide)), v
+        assert None not in fmt.frexp_constants[:last + 1]
+        assert set(fmt.frexp_constants[last + 1:1025]) == {None}
+    assert set(format_params("fp64").frexp_constants) == {0.0}
 
     # the top binade and every binade with a C round by it and an overflow
     # test, never by chop: zeros, values that round to +-0 and values >= 2^(emax+1)
@@ -148,10 +149,9 @@ def test_binade_table_entries(monkeypatch):
     monkeypatch.setattr(precision, "chop", no_chop)
     for name in ("fp16", "bfloat16", T4 + "1", T4 + "0"):
         fmt = format_params(name)
-        assert fmt.binade_constants[fmt.emax + 1] is not None
+        assert fmt.frexp_constants[fmt.emax + 1] is not None
         for v in _top_binade_values(fmt) + _edge_values(fmt):
-            if abs(v) < 1e300:
-                assert _same(round_to_format(v, fmt), ref.round_reference(v, fmt)), (name, v)
+            assert _same(round_to_format(v, fmt), ref.round_reference(v, fmt)), (name, v)
 
 
 @pytest.mark.parametrize("name", FORMATS)

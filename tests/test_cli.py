@@ -156,6 +156,8 @@ def _exit_code(argv):
     pytest.param(["eval", "--x", "1,2", "--format",
                   "custom:t=11,emin=-14,emax=2000,subnormals=1"], None,
                  id="custom-format-beyond-binary64"),
+    pytest.param(["eval", "--format", "custom:t=11,emin=-1060,emax=100,subnormals=1",
+                  "--x", "1,2"], None, id="custom-format-grid-finer-than-2^-1022"),
     pytest.param(["experiment", "--gen", "uniform:-20,20", "--n", "10",
                   "--count", "3", "--format", "fp64"], None,
                  id="experiment-format-not-measurable"),

@@ -104,12 +104,36 @@ class TestFormatParams:
             "custom:t=11,emin=10,emax=5,subnormals=0",
             "custom:t=11,emin=-14,emax=2000,subnormals=1",
             "custom:t=11,emin=-1070,emax=5,subnormals=1",
+            # grids finer than 2^-1022 near zero: binary64 would round twice
+            "custom:t=11,emin=-1060,emax=100,subnormals=1",
+            "custom:t=26,emin=-1048,emax=100,subnormals=1",
+            "custom:t=11,emin=-1013,emax=15,subnormals=1",  # spacing 2^-1023
+            "custom:t=8,emin=-1067,emax=10,subnormals=1",  # spacing 2^-1074
+            "custom:t=11,emin=-1023,emax=15,subnormals=0",  # r_min = 2^-1023
             "custom:nonsense",
         ],
     )
     def test_rejects_bad_identifiers(self, bad):
         with pytest.raises(ValueError):
             format_params(bad)
+
+    @pytest.mark.parametrize("params", [
+        (40, -100, 100, True),  # t > 26 without binary64's parameters
+        (53, -1022, 1023, False),  # binary64 flushing its subnormals
+        (11, -1013, 15, True),  # subnormal spacing 2^-1023
+    ])
+    def test_float_format_rejects_what_binary64_cannot_simulate(self, params):
+        with pytest.raises(ValueError):
+            FloatFormat("wide", *params)
+
+    @pytest.mark.parametrize("params", [
+        (53, -1022, 1023, True),  # binary64's parameters, under any name
+        (11, -1012, 15, True),  # subnormal spacing 2^-1022
+        (2, -1021, 1023, True),
+        (26, -1022, 1023, False),  # r_min = 2^-1022
+    ])
+    def test_float_format_accepts_the_boundaries(self, params):
+        FloatFormat("edge", *params)
 
 
 class TestRoundToFormat:
@@ -299,6 +323,48 @@ class TestArithmeticContext:
                 assert abs(op(a, b) - exact) <= u * abs(exact)
             if b != 0.0 and fp16.r_min <= abs(a / b) <= fp16.r_max:
                 assert abs(ctx.div(a, b) - a / b) <= u * abs(a / b)
+
+    @pytest.mark.parametrize("name", [
+        "custom:t=26,emin=-997,emax=100,subnormals=1",
+        "custom:t=4,emin=-1019,emax=100,subnormals=1",
+    ])
+    def test_mul_and_div_round_correctly_near_the_bottom_of_the_grid(self, name):
+        # operate-then-round against exact rounding of the exact rational
+        # result, on the finest grids near zero that FloatFormat accepts
+        import importlib.util
+        import pathlib
+        from fractions import Fraction
+
+        import numpy as np
+
+        path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "exact.py"
+        spec = importlib.util.spec_from_file_location("exact_model", path)
+        exact = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(exact)
+
+        fmt = format_params(name)
+        model = exact.Format(fmt.precision_bits, fmt.emin, fmt.emax, fmt.subnormals_enabled)
+        t, n = fmt.precision_bits, 3000
+        rng = np.random.default_rng(11)
+        sign = rng.choice([-1.0, 1.0], (2, n))
+        # a: normal values in the lowest 20 binades, or subnormals
+        m_a = rng.integers(1, 2**t, n)
+        a = sign[0] * np.ldexp(m_a, fmt.emin - t + 1 + rng.integers(0, 21, n) * (m_a >= 2 ** (t - 1)))
+        # b in [2^-80, 1) for products, [1, 2^80) for quotients: results from
+        # far below the smallest subnormal up to about 2^(emin + 20)
+        m_b = rng.integers(2 ** (t - 1), 2**t, n)
+        b_mul = sign[1] * np.ldexp(m_b, rng.integers(-80, 0, n) - t + 1)
+        b_div = sign[1] * np.ldexp(m_b, rng.integers(0, 80, n) - t + 1)
+        assert (chop(a, fmt) == a).all() and (chop(b_mul, fmt) == b_mul).all()
+        ctx = ArithmeticContext(fmt)
+        for op, b, exact_op in ((ctx.mul, b_mul, operator.mul), (ctx.div, b_div, operator.truediv)):
+            got = op(a, b).tolist()
+            for ai, bi, gi in zip(a.tolist(), b.tolist(), got):
+                want = exact.round_exact(exact_op(Fraction(ai), Fraction(bi)), model)
+                assert _same(gi, want), (op.__name__, ai, bi, gi, want)
+        # the sample reaches below the grid, onto it and above 2^emin
+        q = np.abs(a * b_mul)
+        assert (q < fmt.r_min_subnormal / 2).any() and (q > fmt.r_min).any()
 
     def test_fp64_simulation_matches_native(self):
         # the fp64 context is Python's binary64 arithmetic, bit for bit

@@ -16,7 +16,7 @@ import pytest
 
 from conftest import same_bits
 from lselab import precision
-from lselab.precision import ArithmeticContext, chop, format_params
+from lselab.precision import ArithmeticContext, chop, format_params, round_to_format
 
 T4 = "custom:t=4,emin=-6,emax=6,subnormals="
 T26 = "custom:t=26,emin=-1022,emax=996,subnormals=0"  # emax = 970 + t: the last covered
@@ -55,7 +55,7 @@ def _specials(fmt) -> np.ndarray:
     values at and above 2^(emax+1)."""
     t, emax = fmt.precision_bits, fmt.emax
     tie_over = fmt.r_max + math.ldexp(1.0, emax - t)
-    top = math.ldexp(1.0, emax + 1)
+    top = 2.0 * math.ldexp(1.0, emax)  # +inf for binary64
     return np.array([
         0.0, math.inf, math.nan, 5e-324, 2.0**-1023, 2.0**-1022,
         tie_over, math.nextafter(tie_over, 0.0), fmt.r_min / 2,
@@ -97,13 +97,11 @@ def test_table_path_on_random_doubles(name):
     _assert_paths_agree(format_params(name), bits.view(np.float64))
 
 
-COVERED = ["fp16", "bfloat16", "fp32", T4 + "1", T4 + "0", T26,
+COVERED = ["fp16", "bfloat16", "fp32", "fp64", T4 + "1", T4 + "0", T26,
            "custom:t=11,emin=-1012,emax=15,subnormals=1"]  # subnormal spacing 2^-1022
 GENERAL = [
-    "fp64",
-    "custom:t=8,emin=-1067,emax=10,subnormals=1",  # spacing 2^-1074 near zero
-    "custom:t=11,emin=-1013,emax=15,subnormals=1",  # spacing 2^-1023 near zero
-    "custom:t=26,emin=-1000,emax=1023,subnormals=1",
+    "custom:t=26,emin=-1000,emax=1023,subnormals=0",
+    "custom:t=26,emin=-997,emax=1023,subnormals=1",  # spacing 2^-1022 near zero
     "custom:t=26,emin=-1022,emax=997,subnormals=0",  # emax = 971 + t
     "custom:t=8,emin=-100,emax=979,subnormals=1",  # emax = 971 + t
 ]
@@ -112,13 +110,23 @@ GENERAL = [
 @pytest.mark.parametrize("name", COVERED + GENERAL)
 def test_rounds_by_table_follows_the_tables(name):
     fmt = format_params(name)
-    tables = fmt.tie_certificate
-    # one C for every binary64 subnormal, and a C for the top binade
-    covered = (
-        tables is not None
-        and tables[1][0] > -math.inf
-        and tables[0][fmt.emax + 1 + 1022] > 0.0
-    )
+    c, threshold = fmt.binade_table
+    assert c.shape == threshold.shape == (4096,)
+    assert same_bits(c[:2048], c[2048:]).all() and same_bits(threshold[:2048], threshold[2048:]).all()
+    c, threshold = c[:2048], threshold[:2048]
+    top = fmt.emax + 1023  # biased exponent of the top binade [2^emax, 2^(emax+1))
+    if name == "fp64":  # the identity, and the C library for every finite value
+        assert (c == 0.0).all() and (threshold == -math.inf).all()
+    else:
+        # above the top binade everything overflows, and +-inf and NaN pass
+        assert (c[top + 1:] == 0.0).all() and (threshold[top + 1:] == math.inf).all()
+        # up to it, a binade without C is never certified
+        no_c = c[:top + 1] == 0.0
+        assert (threshold[:top + 1][no_c] == -math.inf).all()
+        assert (threshold[:top + 1][~no_c] > 0.0).all()
+    # the table rounds every double when every binade up to the top one has
+    # a C, or C = 0.0 is the identity (binary64)
+    covered = name == "fp64" or (c[:top + 1] > 0.0).all()
     assert fmt.rounds_by_table == covered == (name in COVERED)
 
 
@@ -155,3 +163,35 @@ def test_other_formats_always_take_the_general_path(monkeypatch, name):
     chop(1.0, fmt)
     ArithmeticContext(fmt).add(1.0, 2.0)
     assert len(calls) == 3
+
+
+def _math_or_ieee(fast, ieee, v: float) -> float:
+    try:
+        return fast(v)
+    except (OverflowError, ValueError):  # exp overflow, log of zero or of a negative
+        with np.errstate(all="ignore"):
+            return float(ieee(v))
+
+
+def test_fp64_is_native_binary64():
+    # binary64 rounds every double to itself, by the table, and computes exp,
+    # log and log1p as the C library does (+-inf or NaN where math raises)
+    fmt = format_params("fp64")
+    bits = np.random.default_rng(7).integers(0, 2**64, 20_000, dtype=np.uint64)
+    x = np.concatenate([
+        [0.0, -0.0, 5e-324, -5e-324, 2.0**-1023, math.nextafter(2.0**-1022, 0.0), 2.0**-1022,
+         1.7976931348623157e308, math.inf, -math.inf, math.nan, -1.0, 1.0],
+        np.linspace(700.0, 720.0, 2001),  # exp overflows above about 709.78
+        np.linspace(-760.0, -700.0, 2001),  # exp's binary64 subnormals and zeros
+        bits.view(np.float64),
+    ])
+    x = np.concatenate([x, -x])
+    assert fmt.rounds_by_table
+    assert same_bits(chop(x, fmt), x).all()
+    assert all(same_bits(np.array([round_to_format(v, fmt)]), np.array([v]))[0] for v in x.tolist())
+    ctx = ArithmeticContext(fmt)
+    for fast, ieee in ((math.exp, np.exp), (math.log, np.log), (math.log1p, np.log1p)):
+        want = np.array([_math_or_ieee(fast, ieee, v) for v in x.tolist()])
+        got = getattr(ctx, fast.__name__)(x)
+        assert same_bits(got, want).all(), fast.__name__
+        assert same_bits(np.array([getattr(ctx, fast.__name__)(x[1])]), want[1:2]).all()

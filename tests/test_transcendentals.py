@@ -1,6 +1,6 @@
 """exp, log and log1p of ``ArithmeticContext`` against the C library path.
 
-For t <= 26 the context rounds numpy's vector value v and keeps it where a
+The context rounds numpy's vector value v and keeps it where a
 tie certificate shows that the C library's value rounds the same way; every
 other entry is ``chop`` of the C library's value.  These tests check the
 result (bit for bit equal to ``chop(_libm(...))``), the assumption the
@@ -68,15 +68,13 @@ def test_numpy_and_libm_differ_by_less_than_the_certificate_assumes(name, op):
     # whether values within 2^-40 |v| round alike: the C library's must be one
     normal = np.isfinite(v) & (np.abs(v) >= 2.0**-1022)
     assert (np.abs(v[normal] - libm[normal]) <= np.ldexp(np.abs(v[normal]), -40)).all()
-    # +-inf and NaN pass uncertified: the C library's value must round to the
-    # same in every format with t <= 26, whose overflow threshold is at most
-    # 2^1024 - 2^997 (custom:t=26,emax=1023)
+    # +-inf and NaN pass uncertified in every format, binary64 included: the
+    # C library's value must be the same
     inf = np.isinf(v)
-    assert (np.sign(libm[inf]) == np.sign(v[inf])).all()
-    assert (np.abs(libm[inf]) >= 2.0**1023 * (2.0 - 2.0**-26)).all()
+    assert (libm[inf] == v[inf]).all()
     assert (np.isnan(libm) == np.isnan(v)).all()
-    # a zero passes in formats whose grid near zero has spacing >= 2^-1022,
-    # which round every value below 2^-1023 to the zero of its sign
+    # a zero passes: every format's grid near zero has spacing >= 2^-1022,
+    # and rounds every value below 2^-1023 to the zero of its sign
     zero = v == 0.0
     assert (np.abs(libm[zero]) < 2.0**-1023).all()
     assert (np.signbit(libm[zero]) == np.signbit(v[zero])).all()
@@ -84,7 +82,9 @@ def test_numpy_and_libm_differ_by_less_than_the_certificate_assumes(name, op):
 
 HYPOTHESIS_FORMATS = [
     "fp32",
-    "custom:t=26,emin=-1000,emax=1023,subnormals=1",
+    "fp64",
+    "custom:t=26,emin=-1000,emax=1023,subnormals=0",
+    "custom:t=26,emin=-997,emax=1023,subnormals=1",
     "custom:t=26,emin=-126,emax=127,subnormals=0",
     "custom:t=4,emin=-6,emax=6,subnormals=1",
     "custom:t=4,emin=-6,emax=6,subnormals=0",
@@ -218,8 +218,7 @@ def test_certificate_keeps_values_a_few_ulps_off_libm(name, op, monkeypatch):
 
 def test_tie_certificate_tables():
     fp16 = format_params("fp16")
-    constants, thresholds = fp16.tie_certificate
-    assert constants.shape == thresholds.shape == (4096,)
+    constants, thresholds = fp16.binade_table
 
     def field(v: float) -> int:
         return struct.unpack("<Q", struct.pack("<d", v))[0] >> 52
@@ -227,17 +226,17 @@ def test_tie_certificate_tables():
     # both signs share an entry; its C is round_to_format's
     for v in (1.0, 2.0**-20, 2.0**-30, 3e4, 1e5):
         assert constants[field(v)] == constants[field(-v)]
-        assert constants[field(v)] == fp16.binade_constants[math.frexp(v)[1]]
+        assert constants[field(v)] == fp16.frexp_constants[math.frexp(v)[1]]
     # zeros pass and binary64 subnormals do not: C rounds them to the
     # subnormal grid of spacing 2^-24, and T = 2^-1074 takes only |v - r| = 0
     for v in (0.0, -0.0, 5e-324, 2.0**-1023):
         assert thresholds[field(v)] == 2.0**-1074, v
-        assert constants[field(v)] == fp16.binade_constants[math.frexp(2.0**-14)[1]], v
-    # a grid finer than 2^-1022 may hold what numpy reports as zero: no pass
-    for name in ("custom:t=26,emin=-1000,emax=1023,subnormals=1",
-                 "custom:t=8,emin=-1067,emax=10,subnormals=1"):
-        assert format_params(name).tie_certificate[1][0] == -math.inf
-    assert format_params("custom:t=26,emin=-1022,emax=1023,subnormals=0").tie_certificate[1][0] > 0
+        assert constants[field(v)] == fp16.frexp_constants[math.frexp(2.0**-14)[1]], v
+    # so in every format, the finest grids near zero that FloatFormat accepts included
+    for name in ("custom:t=26,emin=-997,emax=1023,subnormals=1",
+                 "custom:t=8,emin=-1015,emax=10,subnormals=1",
+                 "custom:t=26,emin=-1022,emax=1023,subnormals=0"):
+        assert format_params(name).binade_table[1][0] == 2.0**-1074
     # +-inf and NaN always pass
     for v in (math.inf, -math.inf, math.nan):
         assert thresholds[field(v)] == math.inf and constants[field(v)] == 0.0, v
@@ -246,9 +245,11 @@ def test_tie_certificate_tables():
     # far below the subnormal spacing 2^-24, 2^-25 - 2^(e-40) needs more
     # than 53 bits; T is 2^-25 less its last bit, 2^-77, instead
     assert thresholds[field(2.0**-1000)] == 2.0**-25 - 2.0**-77 < 2.0**-25
-    # no C: a binade whose C would overflow, and any binade when t > 26
-    assert thresholds[field(1e300)] == -math.inf
-    assert format_params("fp64").tie_certificate is None
+    # above the top binade every finite value overflows: all pass
+    assert thresholds[field(1e300)] == math.inf and constants[field(1e300)] == 0.0
+    # no C (a binade whose C would overflow): no pass
+    no_c = format_params("custom:t=26,emin=-997,emax=1023,subnormals=1").binade_table
+    assert no_c[0][field(1e305)] == 0.0 and no_c[1][field(1e305)] == -math.inf
 
 
 @pytest.mark.parametrize("name", ["fp16", "bfloat16", "custom:t=4,emin=-6,emax=6,subnormals=1"])
@@ -256,10 +257,10 @@ def test_overflowing_exp_needs_no_libm(monkeypatch, name):
     # the tie test reads (v + C) - C before values above r_max become inf:
     # an inf there would fail the certificate for every v that overflows
     # and send it to the C library, with the same result, only slower.
-    # The results lie above 2^(emax+1), in binades that have a C: up to 2^(971 + t).
+    # The results lie above 2^(emax+1), up to exp(709) ~ 8.2e307, a finite
+    # double: binades above the top one pass whatever their C would be.
     fmt = format_params(name)
-    ln2 = math.log(2.0)
-    x = np.linspace((fmt.emax + 1) * ln2 + 0.01, (970 + fmt.precision_bits) * ln2, 999)
+    x = np.linspace((fmt.emax + 1) * math.log(2.0) + 0.01, 709.0, 999)
     calls = []
     monkeypatch.setattr(precision, "_libm", lambda *args: calls.append(args))
     got = ArithmeticContext(fmt).exp(x)
