@@ -98,8 +98,10 @@ def test_table_path_on_random_doubles(name):
 
 
 COVERED = ["fp16", "bfloat16", "fp32", "fp64", T4 + "1", T4 + "0", T26,
-           "custom:t=11,emin=-1012,emax=15,subnormals=1"]  # subnormal spacing 2^-1022
+           "custom:t=11,emin=-1012,emax=15,subnormals=1",  # subnormal spacing 2^-1022
+           "custom:t=11,emin=-1013,emax=15,subnormals=0"]  # flushing below 2^-1013
 GENERAL = [
+    "custom:t=11,emin=-1013,emax=1000,subnormals=0",  # emax > 970 + t, flushing
     "custom:t=26,emin=-1000,emax=1023,subnormals=0",
     "custom:t=26,emin=-997,emax=1023,subnormals=1",  # spacing 2^-1022 near zero
     "custom:t=26,emin=-1022,emax=997,subnormals=0",  # emax = 971 + t
