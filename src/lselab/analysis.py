@@ -23,18 +23,27 @@ __all__ = [
     "bound_leading_term",
 ]
 
-def _inf_norm(x: Sequence[float]) -> float:
-    """||x||_inf as a Python float."""
-    return float(np.abs(np.asarray(x, dtype=np.float64)).max())
+def _one_vector(x: Sequence[float], ref: Reference | None) -> tuple[np.ndarray, Reference]:
+    """``x`` as a float64 array and its oracle reference: ``ref``, or computed
+    when not given.  ``ValueError`` if either holds more than one row."""
+    a = np.asarray(x, dtype=np.float64)
+    if a.ndim > 1 and a.size > a.shape[-1]:
+        raise ValueError(f"expected one vector, got {len(a)} rows")
+    ref = ref or lse_softmax_reference(a)
+    if len(ref.y_ref) != 1:
+        raise ValueError(f"expected one vector, got a reference of {len(ref.y_ref)} rows")
+    return a, ref
 
 
 def cond_lse(x: Sequence[float], ref: Reference | None = None) -> float:
     """Condition number of log-sum-exp in the infinity norm; +inf when y = 0.
 
-    ``ref`` is the oracle reference of ``x``, computed when not given.
+    ``x`` is one vector and ``ref`` its oracle reference, computed when not
+    given; a batch of more rows raises ``ValueError``.
     """
-    y = float((ref or lse_softmax_reference(x)).y_ref[0])
-    xnorm = _inf_norm(x)
+    a, ref = _one_vector(x, ref)
+    y = float(ref.y_ref[0])
+    xnorm = float(np.abs(a).max())
     if y == 0.0:
         return math.inf
     return xnorm / abs(y)
@@ -55,8 +64,8 @@ def _jacobian_rows(g: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def softmax_jacobian(x: Sequence[float], ref: Reference | None = None) -> np.ndarray:
-    """Jacobian of softmax: diag(g) - g g^T, built from oracle-grade g."""
-    g = (ref or lse_softmax_reference(x)).g_ref[0]
+    """Jacobian of softmax of one vector: diag(g) - g g^T, from oracle-grade g."""
+    g = _one_vector(x, ref)[1].g_ref[0]
     return _jacobian_rows(g, np.arange(len(g)))
 
 
@@ -101,7 +110,7 @@ def _row_sum_bounds(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cond_softmax(x: Sequence[float], ref: Reference | None = None) -> tuple[float, float]:
-    """(exact, upper) infinity-norm condition numbers of softmax.
+    """(exact, upper) infinity-norm condition numbers of softmax of one vector.
 
     exact = ||G||_inf * ||x||_inf / ||g||_inf; upper = n * ||x||_inf.
 
@@ -112,15 +121,15 @@ def cond_softmax(x: Sequence[float], ref: Reference | None = None) -> tuple[floa
     them.  On a typical vector that is one row, so the cost is O(n); when
     every g_i is equal every row is a candidate, O(n^2).
     """
-    ref = ref or lse_softmax_reference(x)
+    a, ref = _one_vector(x, ref)
     g = ref.g_ref[0]
     lo, hi = _row_sum_bounds(g)
     J = _jacobian_rows(g, (hi >= lo.max()).nonzero()[0])
-    xnorm = _inf_norm(x)
+    xnorm = float(np.abs(a).max())
     gnorm = float(abs(g).max())
     norm_G = float(abs(J).sum(axis=1).max())
     exact = norm_G * xnorm / gnorm
-    upper = len(x) * xnorm
+    upper = g.size * xnorm
     return exact, upper
 
 

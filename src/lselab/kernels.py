@@ -7,14 +7,9 @@ is native binary64, the others simulate lower precision.
 
 Each kernel takes a batch of equal-length vectors (a 2-D array, one vector
 per row) and returns a :class:`BatchResult`; one vector is a one-row batch.
-Elementwise steps run on the whole batch; each row's sum is accumulated
-strictly left to right, one rounded addition at a time, as the paper's error
-analysis assumes.  The sum keeps the binade of its last unrounded partial
-sum and, while the next one v stays inside it, rounds v with that binade's
-constant C as (v + C) - C.  That is v correctly rounded: one binary64
-addition that rounds at the format's spacing, then an exact subtraction,
-the same steps ``round_to_format`` takes for that binade (see
-``FloatFormat.binade_table``), without the lookup.
+Elementwise steps run on the whole batch; each row's sum is
+``ArithmeticContext.sum``, strictly left to right, one rounded addition at a
+time, as the paper's error analysis assumes.
 
 Numeric pathologies never raise: infinities and NaNs propagate with IEEE
 semantics and are reported through the result's flags.
@@ -22,12 +17,11 @@ semantics and are reported through the result's flags.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .precision import ArithmeticContext, FloatFormat, as_batch, per_row, round_to_format
+from .precision import ArithmeticContext, as_batch, per_row
 from .quantities import KERNELS
 
 __all__ = [
@@ -64,47 +58,11 @@ def _result(y: np.ndarray, g: np.ndarray, flags: dict[str, np.ndarray]) -> Batch
     return BatchResult(y, g, flags)
 
 
-def _sum_left_to_right(w: np.ndarray, fmt: FloatFormat) -> np.ndarray:
-    """Each row's sum of the terms ``w`` >= +0, rounded to ``fmt`` after every
-    addition, left to right.
-
-    A partial sum v in a cached binade [lo, hi) = [2^(e-1), 2^e) is rounded
-    with that binade's constant C as (v + C) - C, bit for bit what
-    ``round_to_format`` gives there.  Any other v is a miss: it goes to
-    ``round_to_format`` and re-keys the cache to v's binade.  Only binades
-    below the top one are cached, so a hit never overflows; in the top
-    binade (v + C) - C can give 2^(emax+1), where +inf is right.  A row
-    stops once its sum is +inf, which every later term (>= 0) keeps.
-    """
-    table, emax = fmt.frexp_constants, fmt.emax
-    sums = []
-    for row in w.tolist():
-        terms = iter(row)
-        s = next(terms)
-        lo = hi = c = 0.0  # no binade yet: the first addition misses
-        for term in terms:
-            v = s + term
-            if lo <= v < hi:
-                s = (v + c) - c
-                continue
-            s = round_to_format(v, fmt)
-            if s == math.inf:
-                break
-            e = math.frexp(v)[1]  # 0 for v = 0, whose [1/2, 1) does not hold it
-            c = table[e] if e <= emax else None
-            if c is None:
-                lo = hi = 0.0
-            else:
-                lo, hi = math.ldexp(0.5, e), math.ldexp(1.0, e)
-        sums.append(s)
-    return np.array(sums)
-
-
 def lse_softmax_basic(x, ctx: ArithmeticContext) -> BatchResult:
     """Unshifted evaluation: exponentiate, sum left to right, log, divide."""
     xs = as_batch(x)
     w = ctx.exp(xs)
-    s = _sum_left_to_right(w, ctx.fmt)
+    s = ctx.sum(w)
     flags = {
         FLAG_OVERFLOWED: np.isinf(w).any(axis=1) | np.isinf(s),
         FLAG_SUM_UNDERFLOWED: s == 0.0,
@@ -130,7 +88,7 @@ def lse_softmax_shifted(x, ctx: ArithmeticContext) -> BatchResult:
     w = ctx.exp(ctx.sub(xs, a[:, None]))
     terms = w.copy()
     terms[rows, k] = 0.0
-    s = _sum_left_to_right(terms, ctx.fmt)
+    s = ctx.sum(terms)
     y = ctx.add(a, ctx.log1p(s))
     g = ctx.div(w, ctx.add(1.0, s)[:, None])
     return _result(y, g, {})

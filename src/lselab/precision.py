@@ -3,6 +3,8 @@
 Every elementary operation and math function is computed in binary64 and its
 result rounded to the target format (round-to-nearest, ties-to-even).
 ``FloatFormat`` accepts only formats for which that is correct rounding.
+``ArithmeticContext`` holds every operation the kernels run, a row's
+left-to-right ``sum`` included, so no other module rounds.
 
 ``chop`` rounds a whole float64 array, ``round_to_format`` one value, bit for
 bit alike.  The definition of rounding is ``_round_by_scaling``, Higham &
@@ -123,9 +125,9 @@ class FloatFormat:
     def binade_table(self) -> tuple[np.ndarray, np.ndarray]:
         """The constants C and thresholds T that every rounding by table reads.
 
-        Both are 4096-entry float64 arrays indexed by a double's sign and
-        biased exponent, its bits >> 52: ``x.view(np.int64) >> 52`` is that
-        index less 4096 for a negative x, which indexes from the end.
+        Both are 2048-entry float64 arrays indexed by a double's biased
+        exponent b: ``x.view(np.int64) >> 52`` is b for a positive x and
+        b - 2048 for a negative one, which indexes from the end to entry b.
         Biased exponent b holds the binade [2^(e-1), 2^e) with e = b - 1022;
         b = 0 holds the zeros and binary64's subnormals, all below 2^emin,
         and b = 2047 holds +-inf and NaN.
@@ -179,7 +181,7 @@ class FloatFormat:
             threshold[0] = 2.0**-1074
             above = e > emax + 1
             c[above], threshold[above] = 0.0, np.inf
-        return np.tile(c, 2), np.tile(threshold, 2)
+        return c, threshold
 
     @functools.cached_property
     def frexp_constants(self) -> tuple[float | None, ...]:
@@ -312,29 +314,12 @@ def per_row(y, xs: np.ndarray) -> np.ndarray:
     return y
 
 
-def _libm_or_ieee(fast, ieee, v: float) -> float:
-    try:
-        return fast(v)
-    except (OverflowError, ValueError):  # the IEEE result is +-inf or NaN
-        with np.errstate(all="ignore"):
-            return ieee(v)
-
-
-def _libm(fast, ieee, a) -> np.ndarray:
-    """``fast`` (a ``math`` function) on each entry, or ``ieee`` (its numpy
-    twin) on the entries where ``fast`` raises.
-
-    The C library's value is the reference for exp, log and log1p: numpy's
-    vector functions may differ from it in the last binary64 bit, and
-    ``ArithmeticContext`` uses them only where that bit cannot change the
-    rounded result.  ``math`` raises only where the IEEE result is +-inf or
-    NaN (exp overflow, log of zero or of a negative), and there numpy's is
-    exact.
-    """
+def _libm(fast, a) -> np.ndarray:
+    """``fast`` (a ``math`` function) on each entry of ``a``: the C library's
+    exp, log or log1p, the reference value (see ``ArithmeticContext``)."""
     a = np.asarray(a, dtype=np.float64)
     values = a.ravel().tolist()
-    either = functools.partial(_libm_or_ieee, fast, ieee)
-    return np.fromiter(map(either, values), np.float64, len(values)).reshape(a.shape)
+    return np.fromiter(map(fast, values), np.float64, len(values)).reshape(a.shape)
 
 
 @dataclass(frozen=True)
@@ -365,7 +350,10 @@ class ArithmeticContext:
       tests check all of these);
     * every other entry (near a tie, a binary64 subnormal, in a binade
       without C, or any finite entry in binary64, whose T is -inf) is
-      ``chop`` of the C library's value.
+      ``chop`` of the C library's value.  numpy's value there is finite,
+      so the C library's is too and ``math`` does not raise.
+
+    ``sum`` is ``add`` applied left to right along each row.
 
     Rounding to ``fp64`` leaves every binary64 value unchanged, so that
     context is native binary64.
@@ -378,7 +366,7 @@ class ArithmeticContext:
             return _chop(op(a, b), self.fmt)
 
     def _transcendental(self, fast, ieee, a):
-        """``chop(_libm(fast, ieee, a))``, with ``ieee``'s value where certified."""
+        """``chop`` of ``fast``'s value, with ``ieee``'s value where certified."""
         constants, thresholds = self.fmt.binade_table
         a = np.asarray(a, dtype=np.float64)
         with np.errstate(all="ignore"):
@@ -391,7 +379,7 @@ class ArithmeticContext:
             uncertified = np.abs(v - r) >= thresholds.take(field)
             r = _saturate(r, v, self.fmt)
             if uncertified.any():
-                r[uncertified] = _chop(_libm(fast, ieee, a[uncertified]), self.fmt)
+                r[uncertified] = _chop(_libm(fast, a[uncertified]), self.fmt)
         return r[()]  # the array itself, or the scalar of a 0-d array
 
     def add(self, a, b):
@@ -405,6 +393,48 @@ class ArithmeticContext:
 
     def div(self, a, b):
         return self._binop(np.divide, a, b)
+
+    def sum(self, w) -> np.ndarray:
+        """Each row's sum of a (rows x n) array ``w`` of terms >= +0, rounded
+        after every addition, left to right: ``add`` swept along the row, bit
+        for bit.  Any other shape, n = 0, or a term that is negative or NaN
+        raises ``ValueError``.
+
+        A partial sum v in a cached binade [lo, hi) = [2^(e-1), 2^e) is
+        rounded with that binade's constant C as (v + C) - C, bit for bit
+        what ``round_to_format`` gives there (see ``FloatFormat.binade_table``)
+        without the lookup.  Any other v is a miss: it goes to
+        ``round_to_format`` and re-keys the cache to v's binade.  Only
+        binades below the top one are cached, so a hit never overflows; in
+        the top binade (v + C) - C can give 2^(emax+1), where +inf is right.
+        A row stops once its sum is +inf, which every later term (>= 0) keeps.
+        """
+        w = np.asarray(w, dtype=np.float64)
+        if w.ndim != 2 or w.shape[1] == 0 or not (w >= 0.0).all():
+            raise ValueError("sum needs a (rows x n) array, n >= 1, of terms >= +0")
+        fmt = self.fmt
+        table, emax = fmt.frexp_constants, fmt.emax
+        sums = []
+        for row in w.tolist():
+            terms = iter(row)
+            s = next(terms)
+            lo = hi = c = 0.0  # no binade yet: the first addition misses
+            for term in terms:
+                v = s + term
+                if lo <= v < hi:
+                    s = (v + c) - c
+                    continue
+                s = round_to_format(v, fmt)
+                if s == math.inf:
+                    break
+                e = math.frexp(v)[1]  # 0 for v = 0, whose [1/2, 1) does not hold it
+                c = table[e] if e <= emax else None
+                if c is None:
+                    lo = hi = 0.0
+                else:
+                    lo, hi = math.ldexp(0.5, e), math.ldexp(1.0, e)
+            sums.append(s)
+        return np.array(sums)
 
     def exp(self, a):
         return self._transcendental(math.exp, np.exp, a)

@@ -10,9 +10,11 @@ binary64 throughout, is kept as it ran before it took a batch.
 ``ldexp`` and Python's ``round`` (ties to even), with no lookup table and no
 numpy.  The package itself defines rounding once, in chop's general path
 ``precision._round_by_scaling``, and rounds by its one binade table,
-``FloatFormat.binade_table``, wherever it can (``round_to_format``, and
-``chop`` where ``FloatFormat.rounds_by_table``, fp64 included), so this
-function checks both independently.
+``FloatFormat.binade_table``, wherever it can (``round_to_format``, the
+binade cache of ``ArithmeticContext.sum``, and ``chop`` where
+``FloatFormat.rounds_by_table``, fp64 included), so this function checks
+both independently.  The scalar kernels add one term at a time with
+``round_reference``, the sum ``ArithmeticContext.sum`` must reproduce.
 
 ``cond_softmax_reference`` is the softmax condition number as lselab
 computed it before it bounded the Jacobian's row sums: it builds the whole

@@ -216,3 +216,22 @@ def test_condition_numbers_share_one_reference():
     G = softmax_jacobian(x, ref)
     assert G.shape == (2, 2)
     assert np.array_equal(G, softmax_jacobian(x))
+
+
+@pytest.mark.parametrize("f", [cond_lse, cond_softmax, softmax_jacobian])
+def test_one_vector_functions_reject_a_batch(f):
+    # with two rows, ||x||_inf would mix the rows (40 over row 0's y)
+    batch = [[1.0, 2.0], [30.0, 40.0]]
+    with pytest.raises(ValueError, match="one vector"):
+        f(batch)
+    with pytest.raises(ValueError, match="one vector"):
+        f([1.0, 2.0], lse_softmax_reference(batch))
+    with pytest.raises(ValueError, match="one vector"):
+        f(batch, lse_softmax_reference([1.0, 2.0]))
+
+
+def test_one_row_batch_is_one_vector():
+    x = [1.0, -1.0]
+    assert cond_lse([x]) == cond_lse(x)
+    assert cond_softmax([x]) == cond_softmax(x) == (cond_softmax(x)[0], 2.0)
+    assert np.array_equal(softmax_jacobian([x]), softmax_jacobian(x))

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalar_reference as ref
-from conftest import raised, same_result
-from lselab import analysis, kernels, precision
+from conftest import raised, same_bits, same_result
+from lselab import analysis, precision
 from lselab.analysis import cond_softmax, softmax_jacobian
 from lselab.harness import DataSpec, _generate_one, generate
 from lselab.kernels import lse_softmax_basic, lse_softmax_shifted, softmax_alt
@@ -126,7 +126,9 @@ def test_binade_table_entries(monkeypatch):
     constants = format_params("fp16").binade_table[0]
     for v in (5e-324, 2.0**-1022, 2.0**-30, 0.75, 1.0, 3e4, 1e5, 1e308):
         field = struct.unpack("<Q", struct.pack("<d", v))[0] >> 52
-        assert table[math.frexp(v)[1]] == constants[field] == constants[field - 4096], v
+        # a negative double's index, x.view(np.int64) >> 52, is field - 2048
+        assert table[math.frexp(v)[1]] == constants[field] == constants[field - 2048], v
+    assert len(constants) == 2048
     # flushing subnormals, the grid below 2^emin is {0, r_min}
     bf16 = format_params("bfloat16").frexp_constants
     assert {bf16[math.frexp(2.0**j)[1]] for j in range(-1074, -126)} == {math.ldexp(1.5, -126 + 52)}
@@ -235,7 +237,7 @@ def _sum_reference(row: list[float], fmt) -> float:
 
 
 def _check_sums(rows: list[list[float]], fmt) -> None:
-    got = kernels._sum_left_to_right(np.array(rows), fmt).tolist()
+    got = ArithmeticContext(fmt).sum(np.array(rows)).tolist()
     for row, s in zip(rows, got):
         assert _same(s, _sum_reference(row, fmt)), (fmt.name, row, s)
 
@@ -270,7 +272,11 @@ def _sum_edge_rows(fmt) -> list[list[float]]:
     return rows
 
 
-@pytest.mark.parametrize("name", ["fp16", "bfloat16", "fp32", T4 + "1", T4 + "0"])
+# binades from 2^(971 + t) up to the top one have no C: the sum never caches them
+NO_C = ["custom:t=4,emin=-10,emax=1023,subnormals=1", "custom:t=26,emin=-997,emax=1023,subnormals=1"]
+
+
+@pytest.mark.parametrize("name", ["fp16", "bfloat16", "fp32", T4 + "1", T4 + "0"] + NO_C)
 def test_sum_left_to_right_on_binade_edges(name):
     fmt = format_params(name)
     for row in _sum_edge_rows(fmt):
@@ -291,7 +297,7 @@ def _term_pool(fmt) -> list[float]:
 
 @pytest.mark.parametrize("name", [
     "fp16", "bfloat16", "fp32", "fp64", T4 + "1", T4 + "0",
-    "custom:t=11,emin=3,emax=9,subnormals=1",
+    "custom:t=11,emin=3,emax=9,subnormals=1", *NO_C,
 ])
 def test_sum_left_to_right_matches_per_term_rounding_hypothesis(name):
     fmt = format_params(name)
@@ -320,12 +326,45 @@ def test_sum_calls_round_to_format_only_when_the_binade_changes(monkeypatch):
         calls.append(v)
         return round_to_format(v, fmt)
 
-    monkeypatch.setattr(kernels, "round_to_format", counting)
-    s = kernels._sum_left_to_right(np.ones((1, 1000)), format_params("bfloat16"))
+    monkeypatch.setattr(precision, "round_to_format", counting)
+    s = ArithmeticContext(format_params("bfloat16")).sum(np.ones((1, 1000)))
     # 256 + 1 ties to even: the sum stops growing at 256
     assert s.tolist() == [256.0]
     # the partial sums 2, 4, ..., 256 each enter a new binade; the rest stay in theirs
     assert calls == [2.0**k for k in range(1, 9)]
+
+
+@pytest.mark.parametrize("name", ["fp16", "bfloat16", "fp32", "fp64", T4 + "1", T4 + "0"] + NO_C)
+def test_sum_is_add_swept_along_each_row(name):
+    fmt = format_params(name)
+    ctx = ArithmeticContext(fmt)
+    by_length = {}
+    for row in _sum_edge_rows(fmt) + [[0.0] * 5, [fmt.r_max] * 3]:
+        by_length.setdefault(len(row), []).append(row)
+    rng = np.random.default_rng(5)
+    with np.errstate(over="ignore"):
+        # from rows of zeros and subnormals up to rows that overflow
+        scale = rng.uniform(fmt.emin - fmt.precision_bits, fmt.emax + 3, (40, 1))
+        by_length[30] = chop(np.exp2(scale + rng.uniform(-6.0, 0.0, (40, 30))), fmt).tolist()
+    for rows in by_length.values():
+        w = np.array(rows)
+        want = w[:, 0]
+        for j in range(1, w.shape[1]):
+            want = ctx.add(want, w[:, j])
+        assert same_bits(ctx.sum(w), want).all(), (name, rows)
+
+
+@pytest.mark.parametrize("w", [
+    np.ones(3),  # one vector: the kernels pass a batch
+    np.ones((2, 3, 1)),
+    np.ones((2, 0)),
+    [[1.0, -1.0]],
+    [[1.0, math.nan]],
+    [[math.inf, -math.inf]],
+])
+def test_sum_rejects_what_it_cannot_sum_left_to_right(w):
+    with pytest.raises(ValueError):
+        ArithmeticContext(format_params("fp16")).sum(w)
 
 
 def test_single_vector_is_a_one_row_batch():

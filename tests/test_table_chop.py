@@ -113,9 +113,8 @@ GENERAL = [
 def test_rounds_by_table_follows_the_tables(name):
     fmt = format_params(name)
     c, threshold = fmt.binade_table
-    assert c.shape == threshold.shape == (4096,)
-    assert same_bits(c[:2048], c[2048:]).all() and same_bits(threshold[:2048], threshold[2048:]).all()
-    c, threshold = c[:2048], threshold[:2048]
+    # one entry per biased exponent; a negative double's index b - 2048 wraps to b
+    assert c.shape == threshold.shape == (2048,)
     top = fmt.emax + 1023  # biased exponent of the top binade [2^emax, 2^(emax+1))
     if name == "fp64":  # the identity, and the C library for every finite value
         assert (c == 0.0).all() and (threshold == -math.inf).all()

@@ -3,10 +3,11 @@
 The context rounds numpy's vector value v and keeps it where a
 tie certificate shows that the C library's value rounds the same way; every
 other entry is ``chop`` of the C library's value.  These tests check the
-result (bit for bit equal to ``chop(_libm(...))``), the assumption the
-certificate rests on (numpy and the C library differ by at most 2^-40 |v|),
-and the certificate itself, with stand-in vector functions placed on and
-next to rounding ties.
+result (bit for bit equal to ``chop`` of ``_libm_reference``), the
+assumption the certificate rests on (numpy and the C library differ by at
+most 2^-40 |v|), the certificate itself, with stand-in vector functions
+placed on and next to rounding ties, and that the C library is never asked
+for a value it cannot return.
 """
 
 import math
@@ -39,8 +40,23 @@ def _bit_patterns(name: str) -> np.ndarray:
     return x[np.isfinite(x)]
 
 
+def _math_or_numpy(fast, ieee, v: float) -> float:
+    try:
+        return fast(v)
+    except (OverflowError, ValueError):  # the IEEE result is +-inf or NaN
+        with np.errstate(all="ignore"):
+            return ieee(v)
+
+
+def _libm_reference(fast, ieee, a: np.ndarray) -> np.ndarray:
+    """``fast`` (a ``math`` function) on each entry, or ``ieee`` (its numpy
+    twin) where ``fast`` raises: ``math`` raises only where the IEEE result
+    is +-inf or NaN, and there numpy's is exact."""
+    return np.array([_math_or_numpy(fast, ieee, v) for v in a.tolist()])
+
+
 def _libm_path(fmt, op: str, x: np.ndarray) -> np.ndarray:
-    return chop(_libm(*FUNCTIONS[op], x), fmt)
+    return chop(_libm_reference(*FUNCTIONS[op], x), fmt)
 
 
 @pytest.mark.parametrize("name", ["fp16", "bfloat16"])
@@ -63,7 +79,7 @@ def test_numpy_and_libm_differ_by_less_than_the_certificate_assumes(name, op):
     fast, ieee = FUNCTIONS[op]
     with np.errstate(all="ignore"):
         v = ieee(x)
-    libm = _libm(fast, ieee, x)
+    libm = _libm_reference(fast, ieee, x)
     # where numpy's value v is a binary64 normal, the certificate tests
     # whether values within 2^-40 |v| round alike: the C library's must be one
     normal = np.isfinite(v) & (np.abs(v) >= 2.0**-1022)
@@ -158,7 +174,7 @@ def test_certificate_sends_values_on_and_next_to_a_tie_to_libm(name, op, monkeyp
     fmt = format_params(name)
     fast, ieee = FUNCTIONS[op]
     x = _arguments(op)
-    libm = _libm(fast, ieee, x)
+    libm = _libm(fast, x)
     want = chop(libm, fmt)
     # a tie lies between two finite format values: r finite, nonzero, not exact
     usable = np.isfinite(want) & (want != 0.0) & (want != libm)
@@ -167,9 +183,9 @@ def test_certificate_sends_values_on_and_next_to_a_tie_to_libm(name, op, monkeyp
 
     fallback = []
 
-    def counting_libm(f, g, a):
+    def counting_libm(f, a):
         fallback.append(np.size(a))
-        return _libm(f, g, a)
+        return _libm(f, a)
 
     monkeypatch.setattr(precision, "_libm", counting_libm)
     ctx = ArithmeticContext(fmt)
@@ -194,17 +210,17 @@ def test_certificate_keeps_values_a_few_ulps_off_libm(name, op, monkeypatch):
     fast, ieee = FUNCTIONS[op]
     x = _arguments(op)
     rng = np.random.default_rng(12)
-    fake = _nudge(_libm(fast, ieee, x), rng.integers(-4, 5, len(x)))
+    fake = _nudge(_libm(fast, x), rng.integers(-4, 5, len(x)))
     seen = []
 
-    def recording_libm(f, g, a):
+    def recording_libm(f, a):
         seen.append(a.copy())
-        return _libm(f, g, a)
+        return _libm(f, a)
 
     monkeypatch.setattr(precision, "_libm", recording_libm)
     got = ArithmeticContext(fmt)._transcendental(fast, lambda a: fake, x)
     monkeypatch.undo()
-    assert same_bits(got, chop(_libm(fast, ieee, x), fmt)).all()
+    assert same_bits(got, chop(_libm(fast, x), fmt)).all()
     sent = set(np.concatenate(seen).tolist()) if seen else set()
     r = chop(fake, fmt)
     for xi, v, ri in zip(x.tolist(), fake.tolist(), r.tolist()):
@@ -221,8 +237,11 @@ def test_tie_certificate_tables():
     constants, thresholds = fp16.binade_table
 
     def field(v: float) -> int:
-        return struct.unpack("<Q", struct.pack("<d", v))[0] >> 52
+        """The index the context computes, x.view(np.int64) >> 52: b - 2048
+        for a negative double of biased exponent b."""
+        return struct.unpack("<q", struct.pack("<d", v))[0] >> 52
 
+    assert len(constants) == len(thresholds) == 2048
     # both signs share an entry; its C is round_to_format's
     for v in (1.0, 2.0**-20, 2.0**-30, 3e4, 1e5):
         assert constants[field(v)] == constants[field(-v)]
@@ -265,3 +284,36 @@ def test_overflowing_exp_needs_no_libm(monkeypatch, name):
     monkeypatch.setattr(precision, "_libm", lambda *args: calls.append(args))
     got = ArithmeticContext(fmt).exp(x)
     assert np.isinf(got).all() and calls == []
+
+
+LIBM_SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 2.0**-1023, -2.0**-1023, -1.0, -2.0,
+                 math.inf, -math.inf, math.nan,
+                 709.782712893384, math.nextafter(709.782712893384, math.inf)]  # exp's overflow edge
+
+
+@pytest.mark.parametrize("name", [
+    "fp16", "bfloat16", "fp32", "fp64",
+    "custom:t=4,emin=-6,emax=6,subnormals=1",
+    "custom:t=4,emin=-6,emax=6,subnormals=0",
+    "custom:t=26,emin=-997,emax=1023,subnormals=1",
+])
+def test_libm_is_never_asked_for_a_value_it_cannot_return(name, monkeypatch):
+    """``_libm`` is a plain map of the ``math`` function: the context passes
+    it only entries whose numpy value is finite, where ``math`` does not raise."""
+    x = np.concatenate((np.random.default_rng(3).uniform(-800.0, 800.0, 20_000), LIBM_SPECIALS))
+    sent = []
+
+    def spying_libm(f, a):
+        sent.append(np.size(a))
+        for v in a.tolist():
+            try:
+                f(v)
+            except (OverflowError, ValueError):
+                pytest.fail(f"{f.__name__}({v!r}) raises")
+        return _libm(f, a)
+
+    monkeypatch.setattr(precision, "_libm", spying_libm)
+    ctx = ArithmeticContext(format_params(name))
+    for op in FUNCTIONS:
+        assert same_bits(getattr(ctx, op)(x), _libm_path(ctx.fmt, op, x)).all(), op
+    assert sum(sent) > 0  # subnormal results, at least, take the C library path
