@@ -40,6 +40,16 @@ SUITES = {
          "--format", "custom:t=5,emin=-6,emax=7,subnormals=0"],
         None,
     ),
+    # exp(x) for x > 680.7 lands in binades >= 2^982, whose spacing 2^s is
+    # 2^972 or more: there 1.5 * 2^(s+52) overflows, so the table rounds in
+    # the prescaled domain (see FloatFormat.binade_table).  Exit 1 with 20 lse_shift and 12
+    # sm_altshift violations: the shifted bound factors lack the |y| term
+    # (ROADMAP item 1), whose fix re-records these digests.
+    "custom-emax1023-40x10": (
+        ["--gen", "uniform:640,700", "--n", "10", "--count", "40", "--seed", "5",
+         "--format", "custom:t=11,emin=-14,emax=1023,subnormals=1"],
+        None,
+    ),
 }
 
 GOLDEN = {
@@ -66,6 +76,11 @@ GOLDEN = {
         "exit": 0,
         "run.csv": "721fcf95c8be2d1e5f653954394b7d396e9c7937accb28db2790647b28e5998c",
         "run_summary.csv": "a1cd1be7d2b79c4899cfe7b6bf1062a3c35230bc434d16f104469b415c7cfb8d",
+    },
+    "custom-emax1023-40x10": {
+        "exit": 1,
+        "run.csv": "484331a9baefbd8c944ccb1b118f2f88f6b4d6df664560fa1c4e1cc0df23a410",
+        "run_summary.csv": "d292f3d1e6fbcdee4b50a1ff6deda0aa9b9f81692e32e29d0cf80fe9d7a17796",
     },
 }
 
