@@ -23,12 +23,18 @@ __all__ = [
     "bound_leading_term",
 ]
 
-def _one_vector(x: Sequence[float], ref: Reference | None) -> tuple[np.ndarray, Reference]:
-    """``x`` as a float64 array and its oracle reference: ``ref``, or computed
-    when not given.  ``ValueError`` if either holds more than one row."""
+def _one_row(x: Sequence[float]) -> np.ndarray:
+    """``x`` as a float64 array; ``ValueError`` if it holds more than one row."""
     a = np.asarray(x, dtype=np.float64)
     if a.ndim > 1 and a.size > a.shape[-1]:
         raise ValueError(f"expected one vector, got {len(a)} rows")
+    return a
+
+
+def _one_vector(x: Sequence[float], ref: Reference | None) -> tuple[np.ndarray, Reference]:
+    """``x`` as a float64 array and its oracle reference: ``ref``, or computed
+    when not given.  ``ValueError`` if either holds more than one row."""
+    a = _one_row(x)
     ref = ref or lse_softmax_reference(a)
     if len(ref.y_ref) != 1:
         raise ValueError(f"expected one vector, got a reference of {len(ref.y_ref)} rows")
@@ -134,9 +140,12 @@ def cond_softmax(x: Sequence[float], ref: Reference | None = None) -> tuple[floa
 
 
 def y_range(x: Sequence[float]) -> tuple[float, float]:
-    """A-priori bracket for log-sum-exp: [x_max, x_max + log n]."""
-    x_max = max(x)
-    return x_max, x_max + math.log(len(x))
+    """A-priori bracket for log-sum-exp: [x_max, x_max + log n].
+
+    ``x`` is one vector; a batch of more rows raises ``ValueError``."""
+    a = _one_row(x).ravel().tolist()
+    x_max = max(a)  # the first of equal maxima: -0.0 for (-0.0, 0.0)
+    return x_max, x_max + math.log(len(a))
 
 
 def bound_leading_term(

@@ -7,16 +7,14 @@ result rounded to the target format (round-to-nearest, ties-to-even).
 left-to-right ``sum`` included, so no other module rounds.
 
 ``chop`` rounds a whole float64 array, ``round_to_format`` one value, bit for
-bit alike.  The definition of rounding is ``_round_by_scaling``, Higham &
-Pranesh's ``chop`` ("Simulating low precision floating-point arithmetic",
-SIAM J. Sci. Comput., 2019): scale x so that the format's spacing at x is 1,
-round to an integer and scale back.  The fast path is one binary64 addition,
+bit alike, as Higham & Pranesh's ``chop`` rounds ("Simulating low precision
+floating-point arithmetic", SIAM J. Sci. Comput., 2019).  There is one table
+path for every binade of every format: one binary64 addition,
 copysign((x + C) - C, x), with the constant C of x's binade, and a test for
-overflow.  ``FloatFormat.binade_table`` holds C for every binade and derives
-it; for binary64 every C is 0.0, the identity.  ``round_to_format`` takes
-the fast path wherever its binade has a C, and ``chop`` wherever every
-binade has one (``FloatFormat.rounds_by_table``: emax <= 970 + t); the
-others take the definition.
+overflow.  In a binade whose spacing exceeds 2^971 (possible when
+emax > 970 + t), x is first scaled by the binade's P, a power of two, and
+scaled back after.  ``FloatFormat.binade_table`` holds C and P for every
+binade and derives them; for binary64 every C is 0.0, the identity.
 
 exp, log and log1p round the C library's value, as ``chop`` would.
 ``ArithmeticContext`` computes them with numpy's vector functions and the
@@ -122,35 +120,46 @@ class FloatFormat:
         return math.ldexp(2.0 - math.ldexp(1.0, 1 - self.precision_bits), self.emax)
 
     @functools.cached_property
-    def binade_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """The constants C and thresholds T that every rounding by table reads.
+    def binade_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """The constants C, thresholds T and scales P that every rounding reads.
 
-        Both are 2048-entry float64 arrays indexed by a double's biased
+        Each column is a 2048-entry float64 array indexed by a double's biased
         exponent b: ``x.view(np.int64) >> 52`` is b for a positive x and
         b - 2048 for a negative one, which indexes from the end to entry b.
         Biased exponent b holds the binade [2^(e-1), 2^e) with e = b - 1022;
         b = 0 holds the zeros and binary64's subnormals, all below 2^emin,
         and b = 2047 holds +-inf and NaN.
 
-        *C.* Let 2^s be the format's spacing in the binade: s = e - t above
-        2^emin; below it s = emin - t + 1 (the subnormal spacing) with
+        *C and P.* Let 2^s be the format's spacing in the binade: s = e - t
+        above 2^emin; below it s = emin - t + 1 (the subnormal spacing) with
         gradual underflow and s = emin (the grid {0, r_min}) when subnormals
-        are flushed.  C = 1.5 * 2^(s + 52), and copysign((x + C) - C, x) is x
-        rounded to that grid, ties to even:
+        are flushed.  P = 2^-max(0, s - 971) and C = 1.5 * 2^(s + 52) * P,
+        and copysign(((x * P + C) - C) / P, x) is x rounded to that grid,
+        ties to even:
 
-        * C's binade has binary64 spacing 2^s;
-        * |x| < 2^e <= C/3 (true for t <= 51), so x + C stays in C's binade;
+        * x * P is exact and maps the grid and its ties onto those of spacing
+          2^s * P, the binary64 spacing of C's binade; or x * P < 2^-1022,
+          so |x| < 2^(s - 1993) lies far below half the spacing, and both
+          x rounded and (x * P + C) - C are 0;
+        * |x * P| < 2^e * P <= C/3 (true for t <= 51), so x * P + C stays in
+          C's binade;
         * that one addition rounds to nearest, ties to even, and
-          C / 2^s = 1.5 * 2^52 is even, so a tie goes to the same neighbour
-          that ties-to-even rounding of x itself picks; below the smallest
-          subnormal (or below r_min/2 when flushing) that neighbour is 0;
-        * (x + C) - C is exact (both operands lie in one binade), and
-          copysign gives a zero result x's sign (+0.0 would be wrong for a
+          C / (2^s * P) = 1.5 * 2^52 is even, so a tie goes to the same
+          neighbour that ties-to-even rounding of x itself picks; below the
+          smallest subnormal (or below r_min/2 when flushing) that neighbour
+          is 0;
+        * (x * P + C) - C is exact (both operands lie in one binade), and so
+          is dividing it by P, which gives +-inf only for 2^1024 > r_max;
+        * copysign gives a zero result x's sign (+0.0 would be wrong for a
           negative x).
 
-        On this grid the tie r_max + ulp/2 rounds above r_max, and the
-        caller turns every result above r_max into +-inf.  One C serves all
-        of b = 0 because the grid near zero is no finer than 2^-1022.
+        P = 1 wherever 1.5 * 2^(s + 52) is a finite double (s <= 971); a
+        format with emax <= 970 + t, and emin <= 971 if it flushes, has it in
+        every binade, and its table holds None for P, which tells the
+        roundings to skip the multiply and the divide.  On this grid the tie
+        r_max + ulp/2 rounds above r_max, and the caller turns every result
+        above r_max into +-inf.  One entry serves all of b = 0 because the
+        grid near zero is no finer than 2^-1022.
 
         *T.* T = ulp/2 - 2^(e-40), ulp the format's spacing in the binade.
         A value v of the binade whose rounding r lies closer than T lies
@@ -160,48 +169,40 @@ class FloatFormat:
         a zero passes (|v - r| = 0) and a binary64 subnormal, off the grid,
         does not.
 
-        *Other regions.*  Above the top binade (b = 2047 included) C = 0.0
-        and T = +inf: every finite value there overflows, and +-inf and NaN
-        pass as they are.  A binade at or below the top one whose C would
-        overflow (s + 52 > 1023, possible only when emax > 970 + t) has
-        C = 0.0 and T = -inf: nothing there is rounded by table.  binary64
-        has C = 0.0, the identity, and T = -inf everywhere.
+        *Other regions.*  Every binade up to the top one is rounded by one
+        table path, whatever the format.  Above the top binade (b = 2047
+        included) C = 0.0, P = 1 and T = +inf: every finite value there
+        overflows, and +-inf and NaN pass as they are.  binary64 has C = 0.0,
+        the identity, and T = -inf everywhere.
         """
-        c, threshold = np.zeros(2048), np.full(2048, -np.inf)
+        c, threshold, p = np.zeros(2048), np.full(2048, -np.inf), None
         t, emin, emax = self.precision_bits, self.emin, self.emax
         if t <= MAX_CUSTOM_PRECISION:  # binary64 is the only format with more
             e = np.arange(-1022, 1026)
             s = np.where(e > emin, e - t, emin - t + 1 if self.subnormals_enabled else emin)
-            fits = s + 52 <= 1023
-            c = np.where(fits, np.ldexp(1.5, np.minimum(s + 52, 1023)), 0.0)
-            half_ulp = np.ldexp(c / 3.0, -52)  # C / 3 = 2^(s + 51), exactly
+            c, p = np.ldexp(1.5, np.minimum(s, 971) + 52), np.ldexp(1.0, np.minimum(971 - s, 0))
+            half_ulp = np.ldexp(1.0, s - 1)
             # where binary64 cannot hold 2^(s-1) - 2^(e-40), subtract half_ulp's last bit
-            margin = np.maximum(np.ldexp(1.0, e - 40), np.ldexp(half_ulp, -52))
-            threshold = np.where(fits, half_ulp - margin, -np.inf)
+            threshold = half_ulp - np.maximum(np.ldexp(1.0, e - 40), np.ldexp(half_ulp, -52))
             threshold[0] = 2.0**-1074
             above = e > emax + 1
-            c[above], threshold[above] = 0.0, np.inf
-        return c, threshold
+            c[above], threshold[above], p[above] = 0.0, np.inf, 1.0
+            p = None if (p == 1.0).all() else p
+        return c, threshold, p
 
     @functools.cached_property
-    def frexp_constants(self) -> tuple[float | None, ...]:
-        """``binade_table``'s C for the scalar roundings, indexed by
+    def frexp_constants(self) -> tuple[tuple[float, float], ...]:
+        """``binade_table``'s (P, C) for the scalar roundings, indexed by
         ``math.frexp`` exponent e: entries 0..1024 and then -1073..-1, so
-        that Python's negative indexing maps e to its own entry.  None
-        where a binade has no C; frexp gives +-0, +-inf and NaN e = 0,
-        whose entry rounds them to themselves."""
-        c = self.binade_table[0]
-        # frexp exponents 0..1024, then -1073..-1022 (binary64's subnormals), then -1021..-1
-        c = np.concatenate((c[1022:2047], np.full(52, c[0]), c[1:1022]))
-        # where rounds_by_table, C = 0.0 is binary64's identity or precedes the overflow test
-        return tuple((c if self.rounds_by_table else np.where(c > 0.0, c, None)).tolist())
+        that Python's negative indexing maps e to its own entry.  frexp
+        gives +-0, +-inf and NaN e = 0, whose entry rounds them to
+        themselves."""
+        c, _, p = self.binade_table
 
-    @functools.cached_property
-    def rounds_by_table(self) -> bool:
-        """Whether every binade up to the top one has a C (emax <= 970 + t;
-        binary64's C = 0.0 is its identity), so that ``binade_table`` rounds
-        every double; then ``chop`` uses it."""
-        return self.emax <= 970 + self.precision_bits
+        def by_frexp(col):  # exponents 0..1024, -1073..-1022 (binary64's subnormals), -1021..-1
+            return np.concatenate((col[1022:2047], np.full(52, col[0]), col[1:1022])).tolist()
+
+        return tuple(zip(by_frexp(np.ones(2048) if p is None else p), by_frexp(c)))
 
 
 @functools.lru_cache(maxsize=32)
@@ -229,10 +230,8 @@ def round_to_format(x: float, fmt: FloatFormat) -> float:
     subnormal when the format supports them).  NaN maps to NaN.  The result
     is carried in binary64 and the map is idempotent.
     """
-    c = fmt.frexp_constants[math.frexp(x)[1]]
-    if c is None:
-        return float(chop(x, fmt))
-    r = math.copysign((x + c) - c, x)  # see FloatFormat.binade_table
+    p, c = fmt.frexp_constants[math.frexp(x)[1]]
+    r = math.copysign(((x * p + c) - c) / p, x)  # see FloatFormat.binade_table
     return math.copysign(math.inf, x) if abs(r) > fmt.r_max else r
 
 
@@ -245,11 +244,9 @@ def chop(x, fmt: FloatFormat):
     infinities and NaN pass through.  A scalar argument gives a
     ``numpy.float64``.
 
-    Where ``fmt.rounds_by_table``, every entry is rounded as
-    ``round_to_format`` rounds one value: copysign((x + C) - C, x) with the
-    C of x's binade, then +-inf above r_max (``_round_by_table``).  Other
-    formats take the general path, ``_round_by_scaling``, which is the
-    definition both agree with bit for bit.
+    Every entry is rounded as ``round_to_format`` rounds one value, with the
+    (P, C) of x's binade in ``FloatFormat.binade_table``, then +-inf above
+    r_max: one table path for every binade of every format.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         return _chop(x, fmt)
@@ -258,15 +255,20 @@ def chop(x, fmt: FloatFormat):
 def _chop(x, fmt: FloatFormat):
     """``chop`` without its ``errstate``, for callers inside their own."""
     x = np.asarray(x, dtype=np.float64)
-    r = _round_by_table(x, fmt) if fmt.rounds_by_table else _round_by_scaling(x, fmt)
+    r = _saturate(_round_by_table(x, x.view(np.int64) >> 52, fmt), x, fmt)
     return r[()]  # the array itself, or the scalar of a 0-d array
 
 
-def _round_by_table(x: np.ndarray, fmt: FloatFormat) -> np.ndarray:
-    """x rounded with the C of its binade, looked up by its sign and exponent
-    bits in ``binade_table``; correct where ``fmt.rounds_by_table``."""
-    c = fmt.binade_table[0].take(x.view(np.int64) >> 52)
-    return _saturate((x + c) - c, x, fmt)
+def _round_by_table(x: np.ndarray, field: np.ndarray, fmt: FloatFormat) -> np.ndarray:
+    """((x * P + C) - C) / P with the P and C of each entry's binade, read at
+    ``field = x.view(np.int64) >> 52`` in ``fmt.binade_table``: x rounded,
+    before ``_saturate``; a zero result may carry the wrong sign."""
+    c, _, p = fmt.binade_table
+    c = c.take(field)
+    if p is None:  # P = 1 in every binade
+        return (x + c) - c
+    p = p.take(field)
+    return ((x * p + c) - c) / p
 
 
 def _saturate(r, x, fmt: FloatFormat) -> np.ndarray:
@@ -274,22 +276,6 @@ def _saturate(r, x, fmt: FloatFormat) -> np.ndarray:
     r = (x + C) - C lacks.  An array, 0-d for scalars."""
     r = np.where(np.abs(r) > fmt.r_max, np.inf, r)
     return np.copysign(r, x, out=r)
-
-
-def _round_by_scaling(x: np.ndarray, fmt: FloatFormat) -> np.ndarray:
-    """x scaled so that the format's spacing at x becomes 1, rounded to an
-    integer and scaled back (Higham & Pranesh's ``chop``); any format."""
-    _, e = np.frexp(x)
-    # Below r_min the grid spacing is that of the binade at emin.
-    shift = (fmt.precision_bits - 1) - np.maximum(e - 1, fmt.emin)
-    r = np.ldexp(np.rint(np.ldexp(x, shift)), -shift)
-    r = np.where(np.abs(r) > fmt.r_max, np.copysign(np.inf, x), r)
-    if not fmt.subnormals_enabled:
-        a = np.abs(x)
-        # Nearest of {0, +-r_min}; the tie at r_min/2 goes to 0 (even).
-        flushed = np.copysign(np.where(a <= 0.5 * fmt.r_min, 0.0, fmt.r_min), x)
-        r = np.where(a < fmt.r_min, flushed, r)
-    return r
 
 
 def as_batch(x) -> np.ndarray:
@@ -332,9 +318,9 @@ class ArithmeticContext:
     ``log`` and ``log1p`` give ``chop`` of the C library's value, bit for
     bit, and compute it with the tie certificate of ``fmt.binade_table``:
 
-    * v is numpy's vector function and r its rounding (v + C) - C, with
-      the C of v's binade [2^(e-1), 2^e), before r's sign is set and
-      values above r_max become +-inf;
+    * v is numpy's vector function and r its rounding ((v * P + C) - C) / P,
+      with the P and C of v's binade [2^(e-1), 2^e), before r's sign is set
+      and values above r_max become +-inf;
     * where |v - r| < T, the binade's threshold, v lies farther than
       2^(e-40) > 2^-40 |v| from every tie of the format.  Rounding to
       nearest is a step function whose only jumps are at ties, so the C
@@ -348,10 +334,10 @@ class ArithmeticContext:
       passes: the C library's value is then the same zero or below 2^-1023,
       which the grid near zero, no finer than 2^-1022, rounds to it (the
       tests check all of these);
-    * every other entry (near a tie, a binary64 subnormal, in a binade
-      without C, or any finite entry in binary64, whose T is -inf) is
-      ``chop`` of the C library's value.  numpy's value there is finite,
-      so the C library's is too and ``math`` does not raise.
+    * every other entry (near a tie, a binary64 subnormal, or any finite
+      entry in binary64, whose T is -inf) is ``chop`` of the C library's
+      value.  numpy's value there is finite, so the C library's is too and
+      ``math`` does not raise.
 
     ``sum`` is ``add`` applied left to right along each row.
 
@@ -367,16 +353,14 @@ class ArithmeticContext:
 
     def _transcendental(self, fast, ieee, a):
         """``chop`` of ``fast``'s value, with ``ieee``'s value where certified."""
-        constants, thresholds = self.fmt.binade_table
         a = np.asarray(a, dtype=np.float64)
         with np.errstate(all="ignore"):
             v = ieee(a)
             field = v.view(np.int64) >> 52
-            c = constants.take(field)
-            r = (v + c) - c  # |v - r| does not depend on the sign of a zero r
+            r = _round_by_table(v, field, self.fmt)  # |v - r| ignores the sign of a zero r
             # tested before _saturate, whose inf would fail every v that overflows;
             # False where v is +-inf or NaN: v - r is NaN there
-            uncertified = np.abs(v - r) >= thresholds.take(field)
+            uncertified = np.abs(v - r) >= self.fmt.binade_table[1].take(field)
             r = _saturate(r, v, self.fmt)
             if uncertified.any():
                 r[uncertified] = _chop(_libm(fast, a[uncertified]), self.fmt)
@@ -405,8 +389,9 @@ class ArithmeticContext:
         what ``round_to_format`` gives there (see ``FloatFormat.binade_table``)
         without the lookup.  Any other v is a miss: it goes to
         ``round_to_format`` and re-keys the cache to v's binade.  Only
-        binades below the top one are cached, so a hit never overflows; in
-        the top binade (v + C) - C can give 2^(emax+1), where +inf is right.
+        binades with P = 1 below the top one are cached, so a hit needs no
+        scaling and never overflows; in the top binade (v + C) - C can give
+        2^(emax+1), where +inf is right.
         A row stops once its sum is +inf, which every later term (>= 0) keeps.
         """
         w = np.asarray(w, dtype=np.float64)
@@ -428,11 +413,11 @@ class ArithmeticContext:
                 if s == math.inf:
                     break
                 e = math.frexp(v)[1]  # 0 for v = 0, whose [1/2, 1) does not hold it
-                c = table[e] if e <= emax else None
-                if c is None:
-                    lo = hi = 0.0
-                else:
+                p, c = table[e]
+                if e <= emax and p == 1.0:
                     lo, hi = math.ldexp(0.5, e), math.ldexp(1.0, e)
+                else:
+                    lo = hi = 0.0
             sums.append(s)
         return np.array(sums)
 

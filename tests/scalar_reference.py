@@ -8,12 +8,11 @@ binary64 throughout, is kept as it ran before it took a batch.
 
 ``round_reference`` is the only scalar copy of the rounding rule: scaling by
 ``ldexp`` and Python's ``round`` (ties to even), with no lookup table and no
-numpy.  The package itself defines rounding once, in chop's general path
-``precision._round_by_scaling``, and rounds by its one binade table,
-``FloatFormat.binade_table``, wherever it can (``round_to_format``, the
-binade cache of ``ArithmeticContext.sum``, and ``chop`` where
-``FloatFormat.rounds_by_table``, fp64 included), so this function checks
-both independently.  The scalar kernels add one term at a time with
+numpy.  The package has one table path for every binade of every format,
+``FloatFormat.binade_table`` (``chop``, ``round_to_format`` and the binade
+cache of ``ArithmeticContext.sum``, fp64 included), so this function checks
+it independently, as does the array definition ``_round_by_scaling`` in
+``test_table_chop``.  The scalar kernels add one term at a time with
 ``round_reference``, the sum ``ArithmeticContext.sum`` must reproduce.
 
 ``cond_softmax_reference`` is the softmax condition number as lselab

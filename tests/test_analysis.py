@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lselab import analysis
 from lselab.analysis import (
     bound_leading_term,
     cond_lse,
@@ -235,3 +236,13 @@ def test_one_row_batch_is_one_vector():
     assert cond_lse([x]) == cond_lse(x)
     assert cond_softmax([x]) == cond_softmax(x) == (cond_softmax(x)[0], 2.0)
     assert np.array_equal(softmax_jacobian([x]), softmax_jacobian(x))
+
+
+def test_y_range_takes_one_vector(monkeypatch):
+    # the shape check alone: no oracle reference is computed
+    monkeypatch.setattr(analysis, "lse_softmax_reference", lambda *a: pytest.fail("oracle called"))
+    for batch in ([[1.0, 2.0], [30.0, 40.0]], np.array([[1.0, 2.0], [30.0, 40.0]])):
+        with pytest.raises(ValueError, match="one vector"):
+            y_range(batch)
+    assert y_range(np.array([[1.0, 2.0]])) == y_range([[1.0, 2.0]]) == (2.0, 2.0 + math.log(2.0))
+    assert y_range(np.array([1.0, 2.0])) == (2.0, 2.0 + math.log(2.0))

@@ -28,15 +28,25 @@ FORMATS = [
     "fp32",
     "fp64",  # every binade constant is 0.0: the table is the identity
     "custom:t=5,emin=-6,emax=7,subnormals=0",
-    "custom:t=26,emin=-1000,emax=1023,subnormals=0",  # no constant above 2^997
+    "custom:t=26,emin=-1000,emax=1023,subnormals=0",  # prescaled from 2^997 up
     "custom:t=26,emin=-997,emax=1023,subnormals=1",  # the same, with the grid 2^-1022 near zero
-    "custom:t=8,emin=-100,emax=979,subnormals=1",  # the top binade has no constant
+    "custom:t=8,emin=-100,emax=979,subnormals=1",  # only the top binade is prescaled
     "custom:t=8,emin=-1015,emax=10,subnormals=1",  # subnormal spacing 2^-1022, the finest allowed
     "custom:t=3,emin=-2,emax=1023,subnormals=0",
     "custom:t=11,emin=3,emax=9,subnormals=1",  # inf and NaN index [0.5, 1), a subnormal binade
     "custom:t=4,emin=-6,emax=6,subnormals=1",
 ]
 T4 = "custom:t=4,emin=-6,emax=6,subnormals="
+# binades whose spacing 2^s exceeds 2^971 round prescaled (P < 1): those
+# from 2^(971 + t) up to the top one, and those below 2^emin when the grid
+# there is that coarse; the sum never caches them
+PRESCALED = [
+    "custom:t=4,emin=-10,emax=1023,subnormals=1",
+    "custom:t=26,emin=-997,emax=1023,subnormals=1",
+    "custom:t=2,emin=1000,emax=1023,subnormals=1",
+    "custom:t=2,emin=1000,emax=1023,subnormals=0",
+    "custom:t=26,emin=980,emax=996,subnormals=0",  # only the flushed region, below 2^980
+]
 
 
 def _bits(v: float) -> bytes:
@@ -113,7 +123,9 @@ def test_chop_matches_round_to_format_on_edges(name):
 
 
 def test_binade_table_entries(monkeypatch):
-    table = format_params("fp16").frexp_constants
+    # P = 1 throughout: fp16's spacing never exceeds 2^971
+    assert {p for p, _ in format_params("fp16").frexp_constants} == {1.0}
+    table = [c for _, c in format_params("fp16").frexp_constants]
     emin_constant = table[math.frexp(2.0**-14)[1]]
     # every binade below 2^emin shares the emin binade's constant, down to
     # the one holding 2^-1074: C rounds below the smallest subnormal to +-0
@@ -131,28 +143,34 @@ def test_binade_table_entries(monkeypatch):
     assert len(constants) == 2048
     # flushing subnormals, the grid below 2^emin is {0, r_min}
     bf16 = format_params("bfloat16").frexp_constants
-    assert {bf16[math.frexp(2.0**j)[1]] for j in range(-1074, -126)} == {math.ldexp(1.5, -126 + 52)}
-    # with emax > 970 + t, the binades from 2^(971 + t) up to the top one have
-    # no C (None: round_to_format takes chop), nor has any binade above them
+    below = {bf16[math.frexp(2.0**j)[1]] for j in range(-1074, -126)}
+    assert below == {(1.0, math.ldexp(1.5, -126 + 52))}
+    # with emax > 970 + t, the binades from 2^(971 + t) up to the top one,
+    # whose spacing 2^s exceeds 2^971, are prescaled: P = 2^(971 - s) and
+    # C = 1.5 * 2^1023; above the top one C = 0.0 and P = 1
     for name in ("custom:t=3,emin=-2,emax=1023,subnormals=0",
                  "custom:t=8,emin=-100,emax=979,subnormals=1"):
         fmt = format_params(name)
-        last = 1023 + fmt.precision_bits - 52
+        t, last = fmt.precision_bits, 1023 + fmt.precision_bits - 52
         assert last < fmt.emax + 1
-        assert None not in fmt.frexp_constants[:last + 1]
-        assert set(fmt.frexp_constants[last + 1:1025]) == {None}
-    assert set(format_params("fp64").frexp_constants) == {0.0}
+        assert {p for p, _ in fmt.frexp_constants[:last + 1]} == {1.0}
+        assert [p for p, _ in fmt.frexp_constants[last + 1:fmt.emax + 2]] == [
+            math.ldexp(1.0, 971 - (e - t)) for e in range(last + 1, fmt.emax + 2)]
+        assert {c for _, c in fmt.frexp_constants[last + 1:fmt.emax + 2]} == {math.ldexp(1.5, 1023)}
+        assert set(fmt.frexp_constants[fmt.emax + 2:1025]) <= {(1.0, 0.0)}
+    assert set(format_params("fp64").frexp_constants) == {(1.0, 0.0)}
 
-    # the top binade and every binade with a C round by it and an overflow
-    # test, never by chop: zeros, values that round to +-0 and values >= 2^(emax+1)
+    # every binade, the top one and the prescaled ones included, rounds by
+    # the table and an overflow test, never by chop: zeros, values that round
+    # to +-0 and values >= 2^(emax+1)
     def no_chop(x, fmt):
         raise AssertionError(f"chop({x!r}) called")
 
     monkeypatch.setattr(precision, "chop", no_chop)
-    for name in ("fp16", "bfloat16", T4 + "1", T4 + "0"):
+    for name in ("fp16", "bfloat16", T4 + "1", T4 + "0", *PRESCALED):
         fmt = format_params(name)
-        assert fmt.frexp_constants[fmt.emax + 1] is not None
-        for v in _top_binade_values(fmt) + _edge_values(fmt):
+        top = _top_binade_values(fmt) if fmt.precision_bits <= 11 else []  # 2^(t-1) midpoints
+        for v in top + _edge_values(fmt):
             assert _same(round_to_format(v, fmt), ref.round_reference(v, fmt)), (name, v)
 
 
@@ -272,11 +290,7 @@ def _sum_edge_rows(fmt) -> list[list[float]]:
     return rows
 
 
-# binades from 2^(971 + t) up to the top one have no C: the sum never caches them
-NO_C = ["custom:t=4,emin=-10,emax=1023,subnormals=1", "custom:t=26,emin=-997,emax=1023,subnormals=1"]
-
-
-@pytest.mark.parametrize("name", ["fp16", "bfloat16", "fp32", T4 + "1", T4 + "0"] + NO_C)
+@pytest.mark.parametrize("name", ["fp16", "bfloat16", "fp32", T4 + "1", T4 + "0"] + PRESCALED)
 def test_sum_left_to_right_on_binade_edges(name):
     fmt = format_params(name)
     for row in _sum_edge_rows(fmt):
@@ -297,7 +311,7 @@ def _term_pool(fmt) -> list[float]:
 
 @pytest.mark.parametrize("name", [
     "fp16", "bfloat16", "fp32", "fp64", T4 + "1", T4 + "0",
-    "custom:t=11,emin=3,emax=9,subnormals=1", *NO_C,
+    "custom:t=11,emin=3,emax=9,subnormals=1", *PRESCALED,
 ])
 def test_sum_left_to_right_matches_per_term_rounding_hypothesis(name):
     fmt = format_params(name)
@@ -334,7 +348,9 @@ def test_sum_calls_round_to_format_only_when_the_binade_changes(monkeypatch):
     assert calls == [2.0**k for k in range(1, 9)]
 
 
-@pytest.mark.parametrize("name", ["fp16", "bfloat16", "fp32", "fp64", T4 + "1", T4 + "0"] + NO_C)
+@pytest.mark.parametrize("name", [
+    "fp16", "bfloat16", "fp32", "fp64", T4 + "1", T4 + "0", *PRESCALED,
+])
 def test_sum_is_add_swept_along_each_row(name):
     fmt = format_params(name)
     ctx = ArithmeticContext(fmt)

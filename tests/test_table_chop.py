@@ -1,12 +1,14 @@
-"""``chop``'s table path against its general path, and the choice between them.
+"""``chop`` and ``round_to_format`` against the definition of rounding.
 
-Where ``FloatFormat.rounds_by_table`` holds, ``chop`` rounds every double
-with one binary64 addition, copysign((x + C) - C, x), and an overflow test
-(``_round_by_table``); elsewhere it scales, rounds to an integer and scales
-back (``_round_by_scaling``), the definition.  The two must agree bit for
-bit on every double, so these tests feed both every grid point and rounding
-tie of small formats, and the ties' binary64 neighbours, where a wrong C or
-a missed overflow would show.
+Both round every double of every format by one table path,
+((x * P + C) - C) / P with the P and C of x's binade, copysign and an
+overflow test (``FloatFormat.binade_table``).  The definition they must
+match bit for bit is ``_round_by_scaling`` below, Higham & Pranesh's
+``chop``: scale x so that the format's spacing at x is 1, round to an
+integer and scale back.  These tests feed both every grid point and rounding
+tie of small formats (or a sample of them), the ties' binary64 neighbours
+and random doubles from every binade, where a wrong C or P or a missed
+overflow would show, and check the table's columns themselves.
 """
 
 import math
@@ -15,11 +17,36 @@ import numpy as np
 import pytest
 
 from conftest import same_bits
-from lselab import precision
 from lselab.precision import ArithmeticContext, chop, format_params, round_to_format
 
 T4 = "custom:t=4,emin=-6,emax=6,subnormals="
-T26 = "custom:t=26,emin=-1022,emax=996,subnormals=0"  # emax = 970 + t: the last covered
+T26 = "custom:t=26,emin=-1022,emax=996,subnormals=0"  # emax = 970 + t: P = 1 throughout
+T2 = "custom:t=2,emin=1000,emax=1023,subnormals="  # P < 1 in every binade up to the top one
+# emax > 970 + t, or a flushing emin > 971: P < 1 in the binades of spacing above 2^971
+PRESCALED = [
+    "custom:t=11,emin=-1013,emax=1000,subnormals=0",
+    "custom:t=26,emin=-1000,emax=1023,subnormals=0",
+    "custom:t=26,emin=-997,emax=1023,subnormals=1",  # spacing 2^-1022 near zero
+    "custom:t=26,emin=-1022,emax=997,subnormals=0",  # emax = 971 + t
+    "custom:t=8,emin=-100,emax=979,subnormals=1",  # emax = 971 + t
+    "custom:t=26,emin=980,emax=996,subnormals=0",  # emax = 970 + t, flushing below 2^980
+]
+
+
+def _round_by_scaling(x: np.ndarray, fmt) -> np.ndarray:
+    """x scaled so that the format's spacing at x becomes 1, rounded to an
+    integer and scaled back (Higham & Pranesh's ``chop``); any format."""
+    _, e = np.frexp(x)
+    # Below r_min the grid spacing is that of the binade at emin.
+    shift = (fmt.precision_bits - 1) - np.maximum(e - 1, fmt.emin)
+    r = np.ldexp(np.rint(np.ldexp(x, shift)), -shift)
+    r = np.where(np.abs(r) > fmt.r_max, np.copysign(np.inf, x), r)
+    if not fmt.subnormals_enabled:
+        a = np.abs(x)
+        # Nearest of {0, +-r_min}; the tie at r_min/2 goes to 0 (even).
+        flushed = np.copysign(np.where(a <= 0.5 * fmt.r_min, 0.0, fmt.r_min), x)
+        r = np.where(a < fmt.r_min, flushed, r)
+    return r
 
 
 def _grid_and_ties(fmt, count: int | None = None, seed: int = 0) -> np.ndarray:
@@ -68,102 +95,71 @@ def _both_signs(x: np.ndarray) -> np.ndarray:
     return np.concatenate([x, -x])
 
 
-def _assert_paths_agree(fmt, x: np.ndarray) -> None:
-    assert fmt.rounds_by_table
+def _assert_matches_definition(fmt, x: np.ndarray) -> None:
     with np.errstate(over="ignore", invalid="ignore"):
-        table = precision._round_by_table(x, fmt)
-        general = precision._round_by_scaling(x, fmt)
-    same = same_bits(table, general)
-    assert same.all(), list(zip(x[~same][:5], table[~same][:5], general[~same][:5]))
+        want = _round_by_scaling(x, fmt)
+    got = chop(x, fmt)
+    same = same_bits(got, want)
+    assert same.all(), list(zip(x[~same][:5], got[~same][:5], want[~same][:5]))
+    scalar = np.array([round_to_format(v, fmt) for v in x.tolist()])
+    same = same_bits(scalar, want)
+    assert same.all(), list(zip(x[~same][:5], scalar[~same][:5], want[~same][:5]))
 
 
-@pytest.mark.parametrize("name", ["fp16", "bfloat16", T4 + "1", T4 + "0"])
+@pytest.mark.parametrize("name", ["fp16", "bfloat16", T4 + "1", T4 + "0", T2 + "1", T2 + "0"])
 def test_table_path_on_every_grid_point_and_tie(name):
     fmt = format_params(name)
-    _assert_paths_agree(fmt, _both_signs(np.concatenate([_grid_and_ties(fmt), _specials(fmt)])))
+    x = np.concatenate([_grid_and_ties(fmt), _specials(fmt)])
+    _assert_matches_definition(fmt, _both_signs(x))
 
 
-@pytest.mark.parametrize("name", ["fp32", T26])
+@pytest.mark.parametrize("name", ["fp32", T26] + PRESCALED)
 def test_table_path_on_sampled_grid_points_and_ties(name):
     fmt = format_params(name)
     x = _grid_and_ties(fmt, count=50_000, seed=3)
-    _assert_paths_agree(fmt, _both_signs(np.concatenate([x, _specials(fmt)])))
+    _assert_matches_definition(fmt, _both_signs(np.concatenate([x, _specials(fmt)])))
 
 
-@pytest.mark.parametrize("name", ["fp16", "bfloat16", "fp32", T4 + "1", T4 + "0", T26])
+@pytest.mark.parametrize("name", [
+    "fp16", "bfloat16", "fp32", T4 + "1", T4 + "0", T26, T2 + "1", T2 + "0", *PRESCALED,
+])
 def test_table_path_on_random_doubles(name):
     # every binade of binary64, subnormals, infinities and NaN included
     bits = np.random.default_rng(5).integers(0, 2**64, 200_000, dtype=np.uint64)
-    _assert_paths_agree(format_params(name), bits.view(np.float64))
+    _assert_matches_definition(format_params(name), bits.view(np.float64))
 
 
-COVERED = ["fp16", "bfloat16", "fp32", "fp64", T4 + "1", T4 + "0", T26,
-           "custom:t=11,emin=-1012,emax=15,subnormals=1",  # subnormal spacing 2^-1022
-           "custom:t=11,emin=-1013,emax=15,subnormals=0"]  # flushing below 2^-1013
-GENERAL = [
-    "custom:t=11,emin=-1013,emax=1000,subnormals=0",  # emax > 970 + t, flushing
-    "custom:t=26,emin=-1000,emax=1023,subnormals=0",
-    "custom:t=26,emin=-997,emax=1023,subnormals=1",  # spacing 2^-1022 near zero
-    "custom:t=26,emin=-1022,emax=997,subnormals=0",  # emax = 971 + t
-    "custom:t=8,emin=-100,emax=979,subnormals=1",  # emax = 971 + t
-]
-
-
-@pytest.mark.parametrize("name", COVERED + GENERAL)
-def test_rounds_by_table_follows_the_tables(name):
+@pytest.mark.parametrize("name", [
+    "fp16", "bfloat16", "fp32", "fp64", T4 + "1", T4 + "0", T26, T2 + "1", T2 + "0",
+    "custom:t=11,emin=-1012,emax=15,subnormals=1",  # subnormal spacing 2^-1022
+    "custom:t=11,emin=-1013,emax=15,subnormals=0",  # flushing below 2^-1013
+] + PRESCALED)
+def test_binade_table_columns(name):
     fmt = format_params(name)
-    c, threshold = fmt.binade_table
+    c, threshold, p = fmt.binade_table
     # one entry per biased exponent; a negative double's index b - 2048 wraps to b
     assert c.shape == threshold.shape == (2048,)
     top = fmt.emax + 1023  # biased exponent of the top binade [2^emax, 2^(emax+1))
     if name == "fp64":  # the identity, and the C library for every finite value
-        assert (c == 0.0).all() and (threshold == -math.inf).all()
-    else:
-        # above the top binade everything overflows, and +-inf and NaN pass
-        assert (c[top + 1:] == 0.0).all() and (threshold[top + 1:] == math.inf).all()
-        # up to it, a binade without C is never certified
-        no_c = c[:top + 1] == 0.0
-        assert (threshold[:top + 1][no_c] == -math.inf).all()
-        assert (threshold[:top + 1][~no_c] > 0.0).all()
-    # the table rounds every double when every binade up to the top one has
-    # a C, or C = 0.0 is the identity (binary64)
-    covered = name == "fp64" or (c[:top + 1] > 0.0).all()
-    assert fmt.rounds_by_table == covered == (name in COVERED)
-
-
-def test_covered_formats_never_take_the_general_path(monkeypatch):
-    def no_scaling(x, fmt):
-        raise AssertionError(f"_round_by_scaling({x!r}, {fmt.name})")
-
-    monkeypatch.setattr(precision, "_round_by_scaling", no_scaling)
-    for name in COVERED:
-        fmt = format_params(name)
-        x = _both_signs(np.concatenate([_grid_and_ties(fmt, count=100), _specials(fmt)]))
-        chop(x, fmt)
-        chop(x[0], fmt)
-        ctx = ArithmeticContext(fmt)
-        for op in (ctx.add, ctx.sub, ctx.mul, ctx.div):
-            op(x, x[::-1])
-            op(3.0, 2.0)
-        for op in (ctx.exp, ctx.log, ctx.log1p):  # uncertified entries: chop of the C library's
-            op(x)
-
-
-@pytest.mark.parametrize("name", GENERAL)
-def test_other_formats_always_take_the_general_path(monkeypatch, name):
-    fmt = format_params(name)
-    calls = []
-
-    def counting(x, fmt):
-        calls.append(x)
-        return general(x, fmt)
-
-    general = precision._round_by_scaling
-    monkeypatch.setattr(precision, "_round_by_scaling", counting)
-    chop(np.array([1.0, 0.0]), fmt)
-    chop(1.0, fmt)
-    ArithmeticContext(fmt).add(1.0, 2.0)
-    assert len(calls) == 3
+        assert (c == 0.0).all() and (threshold == -math.inf).all() and p is None
+        return
+    t, emin = fmt.precision_bits, fmt.emin
+    e = np.arange(-1022, top - 1021)  # binades [2^(e-1), 2^e) up to the top one
+    s = np.where(e > emin, e - t, emin - t + 1 if fmt.subnormals_enabled else emin)
+    # no P column exactly when every binade's spacing 2^s is at most 2^971
+    assert (p is None) == (fmt.emax <= 970 + t and (fmt.subnormals_enabled or emin <= 971))
+    assert (p is None) == (s.max() <= 971)
+    p = np.ones(2048) if p is None else p
+    assert p.shape == (2048,)
+    # P = 1 exactly where 1.5 * 2^(s + 52) is finite; C is that constant times P
+    assert ((p[:top + 1] == 1.0) == (s <= 971)).all()
+    assert (p[:top + 1] == np.ldexp(1.0, np.minimum(971 - s, 0))).all()
+    assert (c[:top + 1] == np.ldexp(1.5, np.minimum(s, 971) + 52)).all()
+    # so C is finite and every binade up to the top one can be certified
+    assert np.isfinite(c[:top + 1]).all() and (threshold[:top + 1] > 0.0).all()
+    # above the top binade everything overflows, and +-inf and NaN pass
+    assert (c[top + 1:] == 0.0).all() and (threshold[top + 1:] == math.inf).all()
+    assert (p[top + 1:] == 1.0).all()
 
 
 def _math_or_ieee(fast, ieee, v: float) -> float:
@@ -187,7 +183,6 @@ def test_fp64_is_native_binary64():
         bits.view(np.float64),
     ])
     x = np.concatenate([x, -x])
-    assert fmt.rounds_by_table
     assert same_bits(chop(x, fmt), x).all()
     assert all(same_bits(np.array([round_to_format(v, fmt)]), np.array([v]))[0] for v in x.tolist())
     ctx = ArithmeticContext(fmt)

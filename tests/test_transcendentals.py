@@ -234,7 +234,8 @@ def test_certificate_keeps_values_a_few_ulps_off_libm(name, op, monkeypatch):
 
 def test_tie_certificate_tables():
     fp16 = format_params("fp16")
-    constants, thresholds = fp16.binade_table
+    constants, thresholds, scales = fp16.binade_table
+    assert scales is None  # P = 1 in every binade
 
     def field(v: float) -> int:
         """The index the context computes, x.view(np.int64) >> 52: b - 2048
@@ -245,12 +246,12 @@ def test_tie_certificate_tables():
     # both signs share an entry; its C is round_to_format's
     for v in (1.0, 2.0**-20, 2.0**-30, 3e4, 1e5):
         assert constants[field(v)] == constants[field(-v)]
-        assert constants[field(v)] == fp16.frexp_constants[math.frexp(v)[1]]
+        assert (1.0, constants[field(v)]) == fp16.frexp_constants[math.frexp(v)[1]]
     # zeros pass and binary64 subnormals do not: C rounds them to the
     # subnormal grid of spacing 2^-24, and T = 2^-1074 takes only |v - r| = 0
     for v in (0.0, -0.0, 5e-324, 2.0**-1023):
         assert thresholds[field(v)] == 2.0**-1074, v
-        assert constants[field(v)] == fp16.frexp_constants[math.frexp(2.0**-14)[1]], v
+        assert (1.0, constants[field(v)]) == fp16.frexp_constants[math.frexp(2.0**-14)[1]], v
     # so in every format, the finest grids near zero that FloatFormat accepts included
     for name in ("custom:t=26,emin=-997,emax=1023,subnormals=1",
                  "custom:t=8,emin=-1015,emax=10,subnormals=1",
@@ -266,9 +267,38 @@ def test_tie_certificate_tables():
     assert thresholds[field(2.0**-1000)] == 2.0**-25 - 2.0**-77 < 2.0**-25
     # above the top binade every finite value overflows: all pass
     assert thresholds[field(1e300)] == math.inf and constants[field(1e300)] == 0.0
-    # no C (a binade whose C would overflow): no pass
-    no_c = format_params("custom:t=26,emin=-997,emax=1023,subnormals=1").binade_table
-    assert no_c[0][field(1e305)] == 0.0 and no_c[1][field(1e305)] == -math.inf
+
+
+@pytest.mark.parametrize("op", list(FUNCTIONS))
+def test_certificate_holds_in_prescaled_binades(op, monkeypatch):
+    """With t = 26 and emax = 1023 the binades from 2^997 up have P < 1.
+    exp over [675, 709.78] reaches them from x = 691.1, and log and log1p
+    take arguments in [2^990, 2^1024).  The results are chop of the C
+    library's value, and numpy's value is kept for most entries, those in
+    the prescaled binades included."""
+    fmt = format_params("custom:t=26,emin=-997,emax=1023,subnormals=1")
+    scales = fmt.binade_table[2]
+    assert scales[997 + 1023] < 1.0 == scales[996 + 1023]  # the binades of 2^997 and 2^996
+    if op == "exp":
+        x = np.linspace(675.0, 709.78, 20_000)
+    else:
+        rng = np.random.default_rng(8)
+        x = np.ldexp(rng.uniform(1.0, 2.0, 20_000), rng.integers(990, 1024, 20_000))
+    seen = []
+
+    def spying_libm(f, a):
+        seen.append(a.copy())
+        return _libm(f, a)
+
+    monkeypatch.setattr(precision, "_libm", spying_libm)
+    got = getattr(ArithmeticContext(fmt), op)(x)
+    monkeypatch.undo()
+    assert same_bits(got, _libm_path(fmt, op, x)).all()
+    sent = np.isin(x, np.concatenate(seen)) if seen else np.zeros(len(x), dtype=bool)
+    assert sent.mean() < 0.01
+    if op == "exp":
+        prescaled = got >= 2.0**997
+        assert prescaled.sum() > 9_000 and sent[prescaled].mean() < 0.01
 
 
 @pytest.mark.parametrize("name", ["fp16", "bfloat16", "custom:t=4,emin=-6,emax=6,subnormals=1"])
