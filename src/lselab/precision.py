@@ -120,7 +120,7 @@ class FloatFormat:
         return math.ldexp(2.0 - math.ldexp(1.0, 1 - self.precision_bits), self.emax)
 
     @functools.cached_property
-    def binade_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    def binade_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The constants C, thresholds T and scales P that every rounding reads.
 
         Each column is a 2048-entry float64 array indexed by a double's biased
@@ -155,8 +155,8 @@ class FloatFormat:
 
         P = 1 wherever 1.5 * 2^(s + 52) is a finite double (s <= 971); a
         format with emax <= 970 + t, and emin <= 971 if it flushes, has it in
-        every binade, and its table holds None for P, which tells the
-        roundings to skip the multiply and the divide.  On this grid the tie
+        every binade, and there multiplying and dividing by P change
+        nothing.  On this grid the tie
         r_max + ulp/2 rounds above r_max, and the caller turns every result
         above r_max into +-inf.  One entry serves all of b = 0 because the
         grid near zero is no finer than 2^-1022.
@@ -172,10 +172,10 @@ class FloatFormat:
         *Other regions.*  Every binade up to the top one is rounded by one
         table path, whatever the format.  Above the top binade (b = 2047
         included) C = 0.0, P = 1 and T = +inf: every finite value there
-        overflows, and +-inf and NaN pass as they are.  binary64 has C = 0.0,
-        the identity, and T = -inf everywhere.
+        overflows, and +-inf and NaN pass as they are.  binary64 has C = 0.0
+        and P = 1, the identity, and T = -inf everywhere.
         """
-        c, threshold, p = np.zeros(2048), np.full(2048, -np.inf), None
+        c, threshold, p = np.zeros(2048), np.full(2048, -np.inf), np.ones(2048)
         t, emin, emax = self.precision_bits, self.emin, self.emax
         if t <= MAX_CUSTOM_PRECISION:  # binary64 is the only format with more
             e = np.arange(-1022, 1026)
@@ -187,7 +187,6 @@ class FloatFormat:
             threshold[0] = 2.0**-1074
             above = e > emax + 1
             c[above], threshold[above], p[above] = 0.0, np.inf, 1.0
-            p = None if (p == 1.0).all() else p
         return c, threshold, p
 
     @functools.cached_property
@@ -202,7 +201,7 @@ class FloatFormat:
         def by_frexp(col):  # exponents 0..1024, -1073..-1022 (binary64's subnormals), -1021..-1
             return np.concatenate((col[1022:2047], np.full(52, col[0]), col[1:1022])).tolist()
 
-        return tuple(zip(by_frexp(np.ones(2048) if p is None else p), by_frexp(c)))
+        return tuple(zip(by_frexp(p), by_frexp(c)))
 
 
 @functools.lru_cache(maxsize=32)
@@ -264,10 +263,7 @@ def _round_by_table(x: np.ndarray, field: np.ndarray, fmt: FloatFormat) -> np.nd
     ``field = x.view(np.int64) >> 52`` in ``fmt.binade_table``: x rounded,
     before ``_saturate``; a zero result may carry the wrong sign."""
     c, _, p = fmt.binade_table
-    c = c.take(field)
-    if p is None:  # P = 1 in every binade
-        return (x + c) - c
-    p = p.take(field)
+    c, p = c.take(field), p.take(field)
     return ((x * p + c) - c) / p
 
 
@@ -359,7 +355,9 @@ class ArithmeticContext:
             field = v.view(np.int64) >> 52
             r = _round_by_table(v, field, self.fmt)  # |v - r| ignores the sign of a zero r
             # tested before _saturate, whose inf would fail every v that overflows;
-            # False where v is +-inf or NaN: v - r is NaN there
+            # False where v is +-inf or NaN: v - r is NaN there.  In a prescaled
+            # top binade (emax = 1023) r is already +-inf where v rounds up to
+            # 2^1024 and the division by P overflows: those go uncertified to _libm
             uncertified = np.abs(v - r) >= self.fmt.binade_table[1].take(field)
             r = _saturate(r, v, self.fmt)
             if uncertified.any():

@@ -138,19 +138,18 @@ def test_binade_table_columns(name):
     fmt = format_params(name)
     c, threshold, p = fmt.binade_table
     # one entry per biased exponent; a negative double's index b - 2048 wraps to b
-    assert c.shape == threshold.shape == (2048,)
+    assert c.shape == threshold.shape == p.shape == (2048,)
     top = fmt.emax + 1023  # biased exponent of the top binade [2^emax, 2^(emax+1))
     if name == "fp64":  # the identity, and the C library for every finite value
-        assert (c == 0.0).all() and (threshold == -math.inf).all() and p is None
+        assert (c == 0.0).all() and (threshold == -math.inf).all() and (p == 1.0).all()
         return
     t, emin = fmt.precision_bits, fmt.emin
     e = np.arange(-1022, top - 1021)  # binades [2^(e-1), 2^e) up to the top one
     s = np.where(e > emin, e - t, emin - t + 1 if fmt.subnormals_enabled else emin)
-    # no P column exactly when every binade's spacing 2^s is at most 2^971
-    assert (p is None) == (fmt.emax <= 970 + t and (fmt.subnormals_enabled or emin <= 971))
-    assert (p is None) == (s.max() <= 971)
-    p = np.ones(2048) if p is None else p
-    assert p.shape == (2048,)
+    # P = 1 in every binade exactly when every binade's spacing 2^s is at most 2^971
+    all_ones = (p == 1.0).all()
+    assert all_ones == (fmt.emax <= 970 + t and (fmt.subnormals_enabled or emin <= 971))
+    assert all_ones == (s.max() <= 971)
     # P = 1 exactly where 1.5 * 2^(s + 52) is finite; C is that constant times P
     assert ((p[:top + 1] == 1.0) == (s <= 971)).all()
     assert (p[:top + 1] == np.ldexp(1.0, np.minimum(971 - s, 0))).all()
