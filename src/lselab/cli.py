@@ -1,7 +1,10 @@
 """Command-line front end: eval, analyze, experiment, formats.
 
 Exit codes: 0 success, 1 bound violation in an experiment, 2 bad input or
-I/O failure.  Numeric flags on results do not change the exit code.
+I/O failure.  Numeric flags on results do not change the exit code.  Every
+check on the input raises: ``main`` reports each ``ValueError``, ``OSError``
+or ``MemoryError`` a subcommand raises as one ``error:`` line on stderr and
+returns 2.
 """
 
 from __future__ import annotations
@@ -42,22 +45,15 @@ def _fmt9(v: float) -> str:
     return f"{v:.9g}"
 
 
-def _parse_vector(text: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split(",")]  # an empty field raises
-    except ValueError as exc:
-        print(f"error: --x: {exc}", file=sys.stderr)
-        raise SystemExit(2)
-
-
 def _input_vector(args) -> list[float]:
     if args.x is None:
-        print("error: --x is required", file=sys.stderr)
-        raise SystemExit(2)
-    x = _parse_vector(args.x)
-    if not x or any(not math.isfinite(v) for v in x):
-        print("error: input vector must be nonempty and finite", file=sys.stderr)
-        raise SystemExit(2)
+        raise ValueError("--x is required")
+    try:
+        x = [float(tok) for tok in args.x.split(",")]  # an empty field raises
+    except ValueError as exc:
+        raise ValueError(f"--x: {exc}") from None
+    if not all(map(math.isfinite, x)):
+        raise ValueError("input vector must be nonempty and finite")
     return x
 
 
@@ -80,15 +76,10 @@ def cmd_formats(args) -> int:
 
 def cmd_eval(args) -> int:
     x = _input_vector(args)
-    try:
-        fmt = format_params(args.format)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    fmt = format_params(args.format)
     x = chop(x, fmt)
     if not all(map(math.isfinite, x.tolist())):
-        print(f"error: input vector is not finite when rounded to {args.format}", file=sys.stderr)
-        return 2
+        raise ValueError(f"input vector is not finite when rounded to {args.format}")
     alg = args.alg.replace("-", "_")
     res = evaluate(alg, x, ArithmeticContext(fmt))
     y, g = float(res.y[0]), res.g[0].tolist()
@@ -140,50 +131,33 @@ def _parse_genspec(text: str, n: int, count: int, seed: int) -> DataSpec:
         params = tuple(float(t) for t in rest.split(",")) if rest else ()
         return DataSpec(kind=kind, params=params, n=n, count=count, seed=seed)
     except ValueError as exc:
-        print(f"error: bad generator spec {text!r}: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+        raise ValueError(f"bad generator spec {text!r}: {exc}") from None
 
 
 def cmd_experiment(args) -> int:
-    try:
-        fmt = format_params(args.format)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    fmt = format_params(args.format)
     if not measurable(fmt):
-        msg = f"{args.format} is too precise to measure against the binary64 oracle"
-        print(f"error: {msg}", file=sys.stderr)
-        return 2
+        raise ValueError(f"{args.format} is too precise to measure against the binary64 oracle")
     if (args.gen is None) == (args.csv is None):
-        print("error: give exactly one of --gen or --csv", file=sys.stderr)
-        return 2
-    try:
-        if args.csv is not None:
-            data = ingest_csv(args.csv)
-        else:
-            spec = _parse_genspec(args.gen, args.n, args.count, args.seed)
-            data = generate(spec)
-        records = run_experiment(data, fmt)
-    except (OSError, ValueError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError("give exactly one of --gen or --csv")
+    if args.csv is not None:
+        data = ingest_csv(args.csv)
+    else:
+        data = generate(_parse_genspec(args.gen, args.n, args.count, args.seed))
+    records = run_experiment(data, fmt)
     summary = summarize(records)
-    try:
-        emit_csv(records, f"{args.out}.csv")
-        emit_csv(summary, f"{args.out}_summary.csv")
-        if args.svg:
-            for x_field, y_field, suffix, bound_plot in _SVG_PLOTS:
-                emit_svg_scatter(
-                    records,
-                    x_field,
-                    y_field,
-                    f"{args.out}_{suffix}.svg",
-                    log_axes=args.log_axes and bound_plot,
-                    reference_line=bound_plot,
-                )
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    emit_csv(records, f"{args.out}.csv")
+    emit_csv(summary, f"{args.out}_summary.csv")
+    if args.svg:
+        for x_field, y_field, suffix, bound_plot in _SVG_PLOTS:
+            emit_svg_scatter(
+                records,
+                x_field,
+                y_field,
+                f"{args.out}_{suffix}.svg",
+                log_axes=args.log_axes and bound_plot,
+                reference_line=bound_plot,
+            )
 
     print(f"trials: {summary.trials}")
     for name, st in summary.per_algorithm.items():
@@ -249,7 +223,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError, MemoryError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -23,7 +23,6 @@ import os
 import statistics
 from dataclasses import dataclass
 from functools import reduce
-from itertools import compress
 from typing import Sequence
 
 import numpy as np
@@ -93,6 +92,8 @@ class DataSpec:
             raise ValueError("n must be >= 1")
         if self.count < 1:
             raise ValueError("count must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not all(map(math.isfinite, self.params)):
             raise ValueError(f"{self.kind} generator parameters must be finite")
         if self.kind == "uniform":
@@ -351,7 +352,7 @@ def run_trial(trial_id: int, x: Sequence[float], fmt: FloatFormat) -> Records:
     """The one-trial records ``run_experiment`` gives vector ``x`` as trial ``trial_id``.
 
     Nothing in lselab calls it: it stays while ``perfbench/spans.py`` wraps
-    ``harness.run_trial`` by name (ROADMAP item 4 counts trials from the
+    ``harness.run_trial`` by name (ROADMAP item 5 counts trials from the
     records instead).
     """
     records = run_experiment([x], fmt)
@@ -368,15 +369,15 @@ _RATIO_PAIRS = tuple(
 
 
 def _pair_stats(
-    num: Quantity, den: Quantity, errors: dict[str, list], counted: dict[str, list]
+    num: Quantity, den: Quantity, cols: dict[str, np.ndarray], counted: dict[str, np.ndarray]
 ) -> PairStats:
     """Ratio statistics of two quantities' errors over the trials counted for both."""
-    both = [a and b for a, b in zip(counted[num.stem], counted[den.stem])]
-    a_col = list(compress(errors[num.stem], both))
-    b_col = list(compress(errors[den.stem], both))
+    both = counted[num.stem] & counted[den.stem]
+    a_col, b_col = cols[num.err][both], cols[den.err][both]
     comparable = len(a_col)
-    identical = sum(a == b for a, b in zip(a_col, b_col))
-    ratios = [a / b for a, b in zip(a_col, b_col) if a > 0.0 and b > 0.0]
+    identical = int(np.count_nonzero(a_col == b_col))
+    positive = (a_col > 0.0) & (b_col > 0.0)
+    ratios = (a_col[positive] / b_col[positive]).tolist()
     if not ratios:
         return PairStats(num.err, den.err, 0, None, None, None, None,
                          identical / comparable if comparable else None)
@@ -397,17 +398,14 @@ def summarize(records: Records) -> Summary:
     if len(records) == 0:
         raise ValueError("cannot summarize an empty record list")
     cols = records.columns
-    excluded = {kernel: records.excluded(kernel).tolist() for kernel in KERNELS}
-    errors = {q.stem: cols[q.err].tolist() for q in QUANTITIES}
+    excluded = {kernel: records.excluded(kernel) for kernel in KERNELS}
     # per quantity, whether each trial's error counts: finite and not excluded
-    counted = {
-        q.stem: [math.isfinite(e) and not x for e, x in zip(errors[q.stem], excluded[q.kernel])]
-        for q in QUANTITIES
-    }
+    counted = {q.stem: np.isfinite(cols[q.err]) & ~excluded[q.kernel] for q in QUANTITIES}
     per_alg: dict[str, AlgStats] = {}
     for q in QUANTITIES:
-        finite = list(compress(errors[q.stem], counted[q.stem]))
-        bounds = compress(cols[q.bnd].tolist(), counted[q.stem])
+        errors = cols[q.err][counted[q.stem]]
+        bounds = cols[q.bnd][counted[q.stem]]
+        finite = errors.tolist()
         flags = records.flags[q.kernel]
         overflow = flags.get(FLAG_OVERFLOWED, False) | flags[FLAG_PRODUCED_INF]
         per_alg[q.stem] = AlgStats(
@@ -416,10 +414,10 @@ def summarize(records: Records) -> Summary:
             max=max(finite) if finite else None,
             mean=sum(finite) / len(finite) if finite else None,
             median=statistics.median(finite) if finite else None,
-            bound_violations=sum(e > b for e, b in zip(finite, bounds)),
+            bound_violations=int(np.count_nonzero(errors > bounds)),
             overflow_count=int(np.count_nonzero(overflow)),
         )
-    pairs = tuple(_pair_stats(a, b, errors, counted) for a, b in _RATIO_PAIRS)
+    pairs = tuple(_pair_stats(a, b, cols, counted) for a, b in _RATIO_PAIRS)
     return Summary(len(records), per_alg, pairs)
 
 

@@ -49,16 +49,6 @@ class TestEval:
         assert res["algorithm"] == "alt_shifted"
         assert res["g"][0] == pytest.approx(0.8807970779778823, rel=1e-9)
 
-    def test_bad_vector_exits_2(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["eval", "--x", "1,abc"])
-        assert exc.value.code == 2
-
-    def test_missing_vector_exits_2(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["eval"])
-        assert exc.value.code == 2
-
     def test_unknown_format_exits_2(self):
         assert main(["eval", "--x", "1,2", "--format", "fp99"]) == 2
 
@@ -128,21 +118,9 @@ class TestExperiment:
         assert main(["experiment", "--csv", str(tmp_path / "nope.csv"),
                      "--format", "fp16", "--out", str(tmp_path / "x")]) == 2
 
-    def test_bad_generator_exits_2(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(["experiment", "--gen", "uniform:zz", "--format", "fp16",
-                  "--out", str(tmp_path / "x")])
-        assert exc.value.code == 2
-
-
-def _exit_code(argv):
-    try:
-        return main(argv)
-    except SystemExit as exc:
-        return exc.code
-
 
 @pytest.mark.parametrize("argv,csv_text", [
+    pytest.param(["eval"], None, id="eval-missing-vector"),
     pytest.param(["eval", "--x", "1,abc"], None, id="eval-unparsable-vector"),
     pytest.param(["eval", "--x", "1,,2"], None, id="eval-empty-field"),
     pytest.param(["eval", "--x", "1,2,"], None, id="eval-trailing-comma"),
@@ -161,6 +139,13 @@ def _exit_code(argv):
     pytest.param(["experiment", "--gen", "uniform:-20,20", "--n", "10",
                   "--count", "3", "--format", "fp64"], None,
                  id="experiment-format-not-measurable"),
+    # the test runs in its tmp_path, which has no directory 'missing'
+    pytest.param(["experiment", "--gen", "uniform:0,1", "--format", "fp16",
+                  "--out", "missing/run"], None, id="experiment-out-dir-missing"),
+    pytest.param(["experiment", "--gen", "uniform:zz", "--format", "fp16"], None,
+                 id="gen-unparsable-param"),
+    pytest.param(["experiment", "--gen", "uniform:0,1", "--seed", "-1", "--format", "fp16"],
+                 None, id="gen-negative-seed"),
     # generator ranges beyond binary64: numpy raises OverflowError for these
     pytest.param(["experiment", "--gen", "uniform:-1e308,1e308", "--format", "fp16"], None,
                  id="gen-uniform-range-overflows"),
@@ -174,13 +159,15 @@ def _exit_code(argv):
     pytest.param(["experiment", "--gen", "near-singular:1", "--n", "100000000000000",
                   "--count", "1"], None, id="gen-allocation-refused"),
 ])
-def test_bad_input_exits_2_with_one_line(argv, csv_text, tmp_path, capsys):
-    argv = [*argv, "--out", str(tmp_path / "run")] if argv[0] == "experiment" else argv
+def test_bad_input_exits_2_with_one_line(argv, csv_text, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    if argv[0] == "experiment" and "--out" not in argv:
+        argv = [*argv, "--out", str(tmp_path / "run")]
     if csv_text is not None:
         path = tmp_path / "in.csv"
         path.write_text(csv_text)
         argv += ["--csv", str(path)]
-    assert _exit_code(argv) == 2
+    assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()

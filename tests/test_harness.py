@@ -43,6 +43,8 @@ class TestDataSpec:
             DataSpec("bogus", (1.0,), 10, 10, 0)
         with pytest.raises(ValueError):
             DataSpec("wide_spread", (-3.0,), 10, 10, 0)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            DataSpec("uniform", (0.0, 1.0), 10, 10, -1)
 
 
 class TestGenerate:
