@@ -10,10 +10,13 @@ returns 2.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
 import sys
+
+import numpy as np
 
 from .analysis import bound_leading_term, cond_lse, cond_softmax, y_range
 from .harness import (
@@ -38,21 +41,20 @@ _SVG_PLOTS = [(q.bnd, q.err, q.stem, True) for q in QUANTITIES if q.lse] + [
 
 
 def _fmt9(v: float) -> str:
-    if math.isnan(v):
-        return "nan"
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return f"{v:.9g}"
+    return f"{v:.9g}"  # prints nan (of either sign), inf and -inf
 
 
-def _input_vector(args) -> list[float]:
+def _input_vector(args) -> np.ndarray:
+    """``--x`` as one float64 array, each field parsed by ``float``; every
+    later step of ``eval`` and ``analyze`` takes this array as it is."""
     if args.x is None:
         raise ValueError("--x is required")
+    fields = args.x.split(",")
     try:
-        x = [float(tok) for tok in args.x.split(",")]  # an empty field raises
+        x = np.fromiter(map(float, fields), np.float64, len(fields))  # an empty field raises
     except ValueError as exc:
         raise ValueError(f"--x: {exc}") from None
-    if not all(map(math.isfinite, x)):
+    if not np.isfinite(x).all():
         raise ValueError("input vector must be nonempty and finite")
     return x
 
@@ -78,7 +80,7 @@ def cmd_eval(args) -> int:
     x = _input_vector(args)
     fmt = format_params(args.format)
     x = chop(x, fmt)
-    if not all(map(math.isfinite, x.tolist())):
+    if not np.isfinite(x).all():
         raise ValueError(f"input vector is not finite when rounded to {args.format}")
     alg = args.alg.replace("-", "_")
     res = evaluate(alg, x, ArithmeticContext(fmt))
@@ -125,13 +127,18 @@ def cmd_analyze(args) -> int:
 
 
 def _parse_genspec(text: str, n: int, count: int, seed: int) -> DataSpec:
+    """``--gen`` and ``--n``/``--count``/``--seed`` as one ``DataSpec``.  Only
+    errors about the spec's kind and params get the ``bad generator spec``
+    prefix: it is checked with placeholder sizes, then ``replace`` checks
+    the real ones."""
     kind, _, rest = text.partition(":")
     kind = kind.replace("-", "_")
     try:
         params = tuple(float(t) for t in rest.split(",")) if rest else ()
-        return DataSpec(kind=kind, params=params, n=n, count=count, seed=seed)
+        spec = DataSpec(kind=kind, params=params, n=1, count=1, seed=0)
     except ValueError as exc:
         raise ValueError(f"bad generator spec {text!r}: {exc}") from None
+    return dataclasses.replace(spec, n=n, count=count, seed=seed)
 
 
 def cmd_experiment(args) -> int:

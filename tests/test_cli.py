@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 import lselab.analysis
@@ -119,47 +120,64 @@ class TestExperiment:
                      "--format", "fp16", "--out", str(tmp_path / "x")]) == 2
 
 
-@pytest.mark.parametrize("argv,csv_text", [
-    pytest.param(["eval"], None, id="eval-missing-vector"),
-    pytest.param(["eval", "--x", "1,abc"], None, id="eval-unparsable-vector"),
-    pytest.param(["eval", "--x", "1,,2"], None, id="eval-empty-field"),
-    pytest.param(["eval", "--x", "1,2,"], None, id="eval-trailing-comma"),
-    pytest.param(["analyze", "--x", "1,,2"], None, id="analyze-empty-field"),
-    pytest.param(["analyze", "--x", "1,2,"], None, id="analyze-trailing-comma"),
+_NOT_FLOAT = "error: --x: could not convert string to float: "
+
+
+# message: the exact stderr line where the case pins it, else None
+@pytest.mark.parametrize("argv,csv_text,message", [
+    pytest.param(["eval"], None, "error: --x is required", id="eval-missing-vector"),
+    pytest.param(["eval", "--x", "1,abc"], None, _NOT_FLOAT + "'abc'",
+                 id="eval-unparsable-vector"),
+    pytest.param(["eval", "--x", "1,,2"], None, _NOT_FLOAT + "''", id="eval-empty-field"),
+    pytest.param(["eval", "--x", "1,2,"], None, _NOT_FLOAT + "''", id="eval-trailing-comma"),
+    pytest.param(["analyze", "--x", "1,,2"], None, _NOT_FLOAT + "''",
+                 id="analyze-empty-field"),
+    pytest.param(["analyze", "--x", "1,2,"], None, _NOT_FLOAT + "''",
+                 id="analyze-trailing-comma"),
+    pytest.param(["eval", "--x=1,inf"], None, "error: input vector must be nonempty and finite",
+                 id="eval-non-finite"),
     pytest.param(["eval", "--format", "fp16", "--x", "1e6,2"], None,
+                 "error: input vector is not finite when rounded to fp16",
                  id="eval-overflows-format"),
-    pytest.param(["experiment", "--format", "fp16"], "1.0,nan\n", id="csv-nan"),
-    pytest.param(["experiment", "--format", "fp16"], "", id="csv-empty"),
-    pytest.param(["experiment", "--format", "fp16"], "1e6,2\n", id="csv-overflows-format"),
+    pytest.param(["experiment", "--format", "fp16"], "1.0,nan\n", None, id="csv-nan"),
+    pytest.param(["experiment", "--format", "fp16"], "", None, id="csv-empty"),
+    pytest.param(["experiment", "--format", "fp16"], "1e6,2\n", None, id="csv-overflows-format"),
     pytest.param(["eval", "--x", "1,2", "--format",
-                  "custom:t=11,emin=-14,emax=2000,subnormals=1"], None,
+                  "custom:t=11,emin=-14,emax=2000,subnormals=1"], None, None,
                  id="custom-format-beyond-binary64"),
     pytest.param(["eval", "--format", "custom:t=11,emin=-1060,emax=100,subnormals=1",
-                  "--x", "1,2"], None, id="custom-format-grid-finer-than-2^-1022"),
+                  "--x", "1,2"], None, None, id="custom-format-grid-finer-than-2^-1022"),
     pytest.param(["experiment", "--gen", "uniform:-20,20", "--n", "10",
-                  "--count", "3", "--format", "fp64"], None,
+                  "--count", "3", "--format", "fp64"], None, None,
                  id="experiment-format-not-measurable"),
     # the test runs in its tmp_path, which has no directory 'missing'
     pytest.param(["experiment", "--gen", "uniform:0,1", "--format", "fp16",
-                  "--out", "missing/run"], None, id="experiment-out-dir-missing"),
+                  "--out", "missing/run"], None, None, id="experiment-out-dir-missing"),
     pytest.param(["experiment", "--gen", "uniform:zz", "--format", "fp16"], None,
+                 "error: bad generator spec 'uniform:zz': could not convert string to float: 'zz'",
                  id="gen-unparsable-param"),
+    # --n, --count and --seed are not part of the spec: their errors carry no spec prefix
     pytest.param(["experiment", "--gen", "uniform:0,1", "--seed", "-1", "--format", "fp16"],
-                 None, id="gen-negative-seed"),
+                 None, "error: seed must be >= 0", id="gen-negative-seed"),
+    pytest.param(["experiment", "--gen", "uniform:0,1", "--n", "0", "--format", "fp16"],
+                 None, "error: n must be >= 1", id="gen-zero-n"),
+    pytest.param(["experiment", "--gen", "uniform:0,1", "--count", "0", "--format", "fp16"],
+                 None, "error: count must be >= 1", id="gen-zero-count"),
     # generator ranges beyond binary64: numpy raises OverflowError for these
-    pytest.param(["experiment", "--gen", "uniform:-1e308,1e308", "--format", "fp16"], None,
+    pytest.param(["experiment", "--gen", "uniform:-1e308,1e308", "--format", "fp16"], None, None,
                  id="gen-uniform-range-overflows"),
-    pytest.param(["experiment", "--gen", "uniform:-inf,0", "--format", "fp16"], None,
+    pytest.param(["experiment", "--gen", "uniform:-inf,0", "--format", "fp16"], None, None,
                  id="gen-uniform-infinite-bound"),
-    pytest.param(["experiment", "--gen", "near-singular:1e308", "--format", "fp16"], None,
+    pytest.param(["experiment", "--gen", "near-singular:1e308", "--format", "fp16"], None, None,
                  id="gen-near-singular-range-overflows"),
-    pytest.param(["experiment", "--gen", "wide-spread:inf", "--format", "fp16"], None,
+    pytest.param(["experiment", "--gen", "wide-spread:inf", "--format", "fp16"], None, None,
                  id="gen-wide-spread-infinite"),
     # numpy refuses the 728 TiB array up front and raises MemoryError
     pytest.param(["experiment", "--gen", "near-singular:1", "--n", "100000000000000",
-                  "--count", "1"], None, id="gen-allocation-refused"),
+                  "--count", "1"], None, None, id="gen-allocation-refused"),
 ])
-def test_bad_input_exits_2_with_one_line(argv, csv_text, tmp_path, monkeypatch, capsys):
+def test_bad_input_exits_2_with_one_line(argv, csv_text, message, tmp_path, monkeypatch,
+                                         capsys):
     monkeypatch.chdir(tmp_path)
     if argv[0] == "experiment" and "--out" not in argv:
         argv = [*argv, "--out", str(tmp_path / "run")]
@@ -172,6 +190,8 @@ def test_bad_input_exits_2_with_one_line(argv, csv_text, tmp_path, monkeypatch, 
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    if message is not None:
+        assert lines[0] == message
     assert not list(tmp_path.glob("run*"))
 
 
@@ -227,3 +247,26 @@ def test_analyze_computes_bounds_once(monkeypatch, capsys):
         calls.clear()
         assert main(argv) == 0
         assert len(calls) == 1
+
+
+def test_single_vector_steps_get_one_array(monkeypatch, capsys):
+    # eval and analyze parse --x once into a float64 array and hand every
+    # later step that array, never a list it has to convert again
+    received = []
+
+    def recording(name, func):
+        def wrapper(x, *args, **kwargs):
+            received.append((name, type(x)))
+            return func(x, *args, **kwargs)
+        return wrapper
+
+    for name in ("lse_softmax_reference", "cond_lse", "cond_softmax", "y_range",
+                 "bound_leading_term", "chop"):
+        monkeypatch.setattr(lselab.cli, name, recording(name, getattr(lselab.cli, name)))
+    assert main(["analyze", "--x", "1,-1,3", "--json"]) == 0
+    assert main(["eval", "--format", "fp16", "--x", "1,-1,3", "--json"]) == 0
+    assert [name for name, _ in received] == [
+        "lse_softmax_reference", "cond_lse", "cond_softmax", "y_range",
+        "bound_leading_term", "chop",
+    ]
+    assert all(t is np.ndarray for _, t in received), received
