@@ -143,9 +143,9 @@ def y_range(x: Sequence[float]) -> tuple[float, float]:
     """A-priori bracket for log-sum-exp: [x_max, x_max + log n].
 
     ``x`` is one vector; a batch of more rows raises ``ValueError``."""
-    a = _one_row(x).ravel().tolist()
-    x_max = max(a)  # the first of equal maxima: -0.0 for (-0.0, 0.0)
-    return x_max, x_max + math.log(len(a))
+    a = _one_row(x).ravel()
+    x_max = float(a[a.argmax()])  # the first of equal maxima: -0.0 for (-0.0, 0.0)
+    return x_max, x_max + math.log(a.size)
 
 
 def bound_leading_term(

@@ -220,7 +220,12 @@ def build_parser() -> argparse.ArgumentParser:
     px.add_argument("--format", default="fp16")
     px.add_argument("--out", default="experiment")
     px.add_argument("--svg", action="store_true", help="also write SVG scatter plots")
-    px.add_argument("--log-axes", action="store_true")
+    px.add_argument(
+        "--log-axes",
+        action="store_true",
+        help="log10 axes for the two error-vs-bound plots, leaving out their "
+        "non-positive points (the sum-deviation plots stay linear)",
+    )
     px.set_defaults(func=cmd_experiment)
 
     pf = sub.add_parser("formats", help="print the supported format parameters")

@@ -426,31 +426,31 @@ def _flag_cells(records: Records) -> list[str]:
     raised a flag, in kernel order, joined by ``;``."""
     cells: list[list[str]] = [[] for _ in range(len(records))]
     for kernel in KERNELS:
-        flags = records.flags[kernel]
-        names = sorted(flags)
-        for i in np.flatnonzero(records.excluded(kernel)).tolist():
-            cells[i].append(f"{kernel}:" + "+".join(n for n in names if flags[n][i]))
+        raised: dict[int, list[str]] = {}
+        for name, column in sorted(records.flags[kernel].items()):
+            for i in np.flatnonzero(column).tolist():
+                raised.setdefault(i, []).append(name)
+        for i, names in raised.items():
+            cells[i].append(f"{kernel}:" + "+".join(names))
     return [";".join(c) for c in cells]
 
 
 def emit_csv(records: Records | Summary, path: str | os.PathLike) -> None:
-    """Write trial records (or a summary) as CSV; floats round-trip exactly."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if isinstance(records, Summary):
-            fh.write("key,value\n")
-            fh.write(f"trials,{records.trials}\n")
-            for name, st in records.per_algorithm.items():
-                for k in ("finite_count", "max", "mean", "median",
-                          "bound_violations", "overflow_count"):
-                    fh.write(f"{name}.{k},{getattr(st, k)}\n")
-            for p in records.pairs:
-                tag = f"ratio[{p.numerator}/{p.denominator}]"
-                for k in ("count", "mean", "geometric_mean", "min", "max",
-                          "identical_fraction"):
-                    fh.write(f"{tag}.{k},{getattr(p, k)}\n")
-            return
-        fh.write(CSV_HEADER + "\n")
+    """Write trial records (or a summary) as CSV; floats round-trip exactly.
+
+    The file's text is built whole, a column at a time, and written once."""
+    if isinstance(records, Summary):
+        lines = ["key,value", f"trials,{records.trials}"]
+        for name, st in records.per_algorithm.items():
+            lines += [f"{name}.{k},{getattr(st, k)}" for k in (
+                "finite_count", "max", "mean", "median", "bound_violations", "overflow_count")]
+        for p in records.pairs:
+            tag = f"ratio[{p.numerator}/{p.denominator}]"
+            lines += [f"{tag}.{k},{getattr(p, k)}" for k in (
+                "count", "mean", "geometric_mean", "min", "max", "identical_fraction")]
+    else:
         # repr gives the two int columns as str does, and each float exactly
-        columns = (records.columns[name].tolist() for name in _COLUMNS)
-        for *values, flags in zip(*columns, _flag_cells(records)):
-            fh.write(",".join((*map(repr, values), flags)) + "\n")
+        columns = (map(repr, records.columns[name].tolist()) for name in _COLUMNS)
+        lines = [CSV_HEADER, *map(",".join, zip(*columns, _flag_cells(records)))]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")

@@ -19,12 +19,16 @@ _HEIGHT = 480
 _MARGIN = 60
 
 
-def _transform(v: float, lo: float, hi: float, log_axes: bool) -> float:
+def _fractions(values: list[float], lo: float, hi: float, log_axes: bool) -> list[float]:
+    """Each value's fraction of the way from ``lo`` to ``hi``, or from
+    log10(lo) to log10(hi) under ``log_axes``; 0.5 for all when those are equal."""
     if log_axes:
-        v, lo, hi = math.log10(v), math.log10(lo), math.log10(hi)
+        values = list(map(math.log10, values))
+        lo, hi = math.log10(lo), math.log10(hi)
     if hi == lo:
-        return 0.5
-    return (v - lo) / (hi - lo)
+        return [0.5] * len(values)
+    span = hi - lo
+    return [(v - lo) / span for v in values]
 
 
 def emit_svg_scatter(
@@ -38,21 +42,17 @@ def emit_svg_scatter(
     """Scatter column ``y_field`` against ``x_field``; non-finite points are skipped."""
     if not {x_field, y_field} <= records.columns.keys():
         raise ValueError(f"unknown record fields: {x_field!r}, {y_field!r}")
-    pts = []
-    for xv, yv in zip(records.columns[x_field].tolist(), records.columns[y_field].tolist()):
-        xv, yv = float(xv), float(yv)
-        if not (math.isfinite(xv) and math.isfinite(yv)):
-            continue
-        if log_axes and (xv <= 0.0 or yv <= 0.0):
-            continue
-        pts.append((xv, yv))
+    x_col, y_col = (records.columns[f].astype(float).tolist() for f in (x_field, y_field))
+    pts = [
+        (xv, yv) for xv, yv in zip(x_col, y_col)
+        if math.isfinite(xv) and math.isfinite(yv) and not (log_axes and (xv <= 0.0 or yv <= 0.0))
+    ]
 
     if pts:
-        xlo = min(p[0] for p in pts)
-        xhi = max(p[0] for p in pts)
-        ylo = min(p[1] for p in pts)
-        yhi = max(p[1] for p in pts)
+        xs, ys = zip(*pts)
+        xlo, xhi, ylo, yhi = min(xs), max(xs), min(ys), max(ys)
     else:
+        xs = ys = ()
         xlo = ylo = 0.1 if log_axes else 0.0
         xhi = yhi = 1.0
     if reference_line:
@@ -61,13 +61,11 @@ def emit_svg_scatter(
         xlo = ylo = lo
         xhi = yhi = hi
 
-    def px(v: float) -> float:
-        return _MARGIN + _transform(v, xlo, xhi, log_axes) * (_WIDTH - 2 * _MARGIN)
-
-    def py(v: float) -> float:
-        return _HEIGHT - _MARGIN - _transform(v, ylo, yhi, log_axes) * (
-            _HEIGHT - 2 * _MARGIN
-        )
+    # pixel coordinates: the reference line's ends (xlo, xlo) and (xhi, xhi), then the points
+    cx = [f"{_MARGIN + f * (_WIDTH - 2 * _MARGIN):.2f}"
+          for f in _fractions([xlo, xhi, *xs], xlo, xhi, log_axes)]
+    cy = [f"{_HEIGHT - _MARGIN - f * (_HEIGHT - 2 * _MARGIN):.2f}"
+          for f in _fractions([xlo, xhi, *ys], ylo, yhi, log_axes)]
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}">',
@@ -82,15 +80,10 @@ def emit_svg_scatter(
         f'transform="rotate(-90 18 {_HEIGHT / 2:.1f})">{y_field}</text>',
     ]
     if reference_line:
-        lines.append(
-            f'<line x1="{px(xlo):.2f}" y1="{py(xlo):.2f}" x2="{px(xhi):.2f}" '
-            f'y2="{py(xhi):.2f}" stroke="red" stroke-width="1"/>'
-        )
-    for xv, yv in pts:
-        lines.append(
-            f'<circle cx="{px(xv):.2f}" cy="{py(yv):.2f}" r="2.5" '
-            f'fill="steelblue" fill-opacity="0.6"/>'
-        )
+        lines.append(f'<line x1="{cx[0]}" y1="{cy[0]}" x2="{cx[1]}" y2="{cy[1]}" '
+                     'stroke="red" stroke-width="1"/>')
+    lines += [f'<circle cx="{x}" cy="{y}" r="2.5" fill="steelblue" fill-opacity="0.6"/>'
+              for x, y in zip(cx[2:], cy[2:])]
     lines.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -101,6 +101,13 @@ class TestYRange:
         assert lo == 0.0
         assert hi == pytest.approx(math.log(4.0), abs=1e-15)
 
+    def test_first_of_equal_maxima(self):
+        # -0.0 == 0.0: the first one is the maximum, as max() gives it
+        for x, sign in (([-0.0, 0.0], -1.0), ([0.0, -0.0], 1.0), ([-1.0, -0.0, 0.0], -1.0)):
+            lo, hi = y_range(x)
+            assert lo == 0.0 and math.copysign(1.0, lo) == sign
+            assert type(lo) is float and hi == math.log(len(x))
+
 
 def _factors(x):
     """Every bound factor of ``x``, fed the oracle log-sum-exp."""
