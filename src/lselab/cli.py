@@ -19,14 +19,7 @@ import sys
 import numpy as np
 
 from .analysis import bound_leading_term, cond_lse, cond_softmax, y_range
-from .harness import (
-    DataSpec,
-    emit_csv,
-    generate,
-    ingest_csv,
-    run_experiment,
-    summarize,
-)
+from .harness import DataSpec, emit_csv, generate, ingest_csv, run_experiment, summarize
 from .kernels import evaluate
 from .oracle import lse_softmax_reference, measurable
 from .precision import NAMED_FORMATS, ArithmeticContext, chop, format_params
@@ -105,17 +98,8 @@ def cmd_analyze(args) -> int:
     lo, hi = y_range(x)
     bounds = {aid: float(f[0]) for aid, f in bound_leading_term(x, ref.y_ref).items()}
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "cond_lse": cf,
-                    "cond_softmax_exact": cg_exact,
-                    "cond_softmax_upper": cg_upper,
-                    "y_range": [lo, hi],
-                    "bounds": bounds,
-                }
-            )
-        )
+        print(json.dumps({"cond_lse": cf, "cond_softmax_exact": cg_exact,
+                          "cond_softmax_upper": cg_upper, "y_range": [lo, hi], "bounds": bounds}))
     else:
         print(f"cond_lse: {_fmt9(cf)}")
         print(f"cond_softmax_exact: {_fmt9(cg_exact)}")
@@ -157,14 +141,8 @@ def cmd_experiment(args) -> int:
     emit_csv(summary, f"{args.out}_summary.csv")
     if args.svg:
         for x_field, y_field, suffix, bound_plot in _SVG_PLOTS:
-            emit_svg_scatter(
-                records,
-                x_field,
-                y_field,
-                f"{args.out}_{suffix}.svg",
-                log_axes=args.log_axes and bound_plot,
-                reference_line=bound_plot,
-            )
+            emit_svg_scatter(records, x_field, y_field, f"{args.out}_{suffix}.svg",
+                             log_axes=args.log_axes and bound_plot, reference_line=bound_plot)
 
     print(f"trials: {summary.trials}")
     for name, st in summary.per_algorithm.items():

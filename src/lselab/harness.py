@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import os
+import stat
 import statistics
 from dataclasses import dataclass
 from functools import reduce
@@ -275,12 +276,7 @@ def _run_batch(
         alt_shifted = alt_basic
     else:
         alt_shifted = softmax_alt(xs, shifted.y, ctx)
-    runs = {
-        "basic": basic,
-        "shifted": shifted,
-        "alt_basic": alt_basic,
-        "alt_shifted": alt_shifted,
-    }
+    runs = dict(basic=basic, shifted=shifted, alt_basic=alt_basic, alt_shifted=alt_shifted)
 
     # the first index of each extreme, so a signed zero comes out as max() gives it
     rows = np.arange(len(xs))
@@ -435,6 +431,32 @@ def _flag_cells(records: Records) -> list[str]:
     return [";".join(c) for c in cells]
 
 
+def _write_text(path: str | os.PathLike, text: str) -> None:
+    """Write ``text`` as UTF-8 over ``path``'s old bytes, then cut a longer
+    regular file to length.  Like ``open(path, "w")`` it follows symlinks and
+    keeps an existing file's inode and mode, but it never truncates to zero
+    first, which on ext4 (``auto_da_alloc``) starts writeback at close.
+    Nothing is fsynced: after a crash, rerun the command.  A failed write
+    empties the file, so no new bytes are left before a stale tail."""
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        st = os.fstat(fd)
+        regular = stat.S_ISREG(st.st_mode)
+        try:
+            rest = memoryview(data)
+            while rest:
+                rest = rest[os.write(fd, rest):]
+            if regular and st.st_size > len(data):
+                os.ftruncate(fd, len(data))
+        except BaseException:
+            if regular:
+                os.ftruncate(fd, 0)
+            raise
+    finally:
+        os.close(fd)
+
+
 def emit_csv(records: Records | Summary, path: str | os.PathLike) -> None:
     """Write trial records (or a summary) as CSV; floats round-trip exactly.
 
@@ -452,5 +474,4 @@ def emit_csv(records: Records | Summary, path: str | os.PathLike) -> None:
         # repr gives the two int columns as str does, and each float exactly
         columns = (map(repr, records.columns[name].tolist()) for name in _COLUMNS)
         lines = [CSV_HEADER, *map(",".join, zip(*columns, _flag_cells(records)))]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import os
 
-from .harness import Records
+from .harness import Records, _write_text
 
 __all__ = ["emit_svg_scatter"]
 
@@ -85,5 +85,4 @@ def emit_svg_scatter(
     lines += [f'<circle cx="{x}" cy="{y}" r="2.5" fill="steelblue" fill-opacity="0.6"/>'
               for x, y in zip(cx[2:], cy[2:])]
     lines.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")

@@ -10,19 +10,29 @@ cover the README suite shape; these tests feed both the cases those miss:
 ragged input, trials flagged by several kernels, plots with no finite
 points or with every point equal, zeros and negative values on log axes,
 and the int ``trial_id`` column on x.
+
+Both write through ``_write_text``, which overwrites a file in place and
+cuts it to length.  Its tests below each fail against a simpler writer:
+one that never cuts, one that always truncates, one that replaces the file
+by rename, or one that leaves a failed write's bytes behind.
 """
 
+import errno
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
 
 from conftest import emit_vectors_csv
+from lselab.cli import main
 from lselab.harness import (
     CSV_HEADER,
     DataSpec,
     _COLUMNS,
     _flag_cells,
+    _write_text,
     emit_csv,
     generate,
     ingest_csv,
@@ -212,3 +222,98 @@ def test_plot_without_finite_points(tmp_path):
             _svg_scatter_by_point(overflowed, *args, tmp_path / "b.svg", log_axes, reference_line)
             assert (tmp_path / "a.svg").read_bytes() == (tmp_path / "b.svg").read_bytes()
             assert "<circle" not in (tmp_path / "a.svg").read_text()
+
+
+NEW_TEXT = "trial_id,n\n0,10\n1,10\n"
+
+
+@pytest.mark.parametrize("old", [
+    NEW_TEXT + "2,10\n" * 40,  # a longer file: its tail must go
+    NEW_TEXT.replace("1", "7"),  # as long, other bytes
+    "0,1\n",  # a shorter file
+], ids=["longer", "equal", "shorter"])
+def test_rewrite_leaves_exactly_the_new_bytes(old, tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_text(old)
+    _write_text(path, NEW_TEXT)
+    assert path.read_bytes() == NEW_TEXT.encode()
+
+
+def test_symlink_is_followed(tmp_path):
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_text("old contents, longer than the new ones\n" * 3)
+    link.symlink_to(target.name)
+    _write_text(link, NEW_TEXT)
+    assert link.is_symlink() and os.readlink(link) == target.name
+    assert target.read_bytes() == NEW_TEXT.encode()
+
+
+def test_existing_file_keeps_inode_and_mode(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_text("x" * 100)
+    path.chmod(0o640)
+    before = path.stat()
+    _write_text(path, NEW_TEXT)
+    after = path.stat()
+    assert (after.st_ino, stat.S_IMODE(after.st_mode)) == (before.st_ino, 0o640)
+    assert path.read_bytes() == NEW_TEXT.encode()
+
+
+def test_devnull_is_not_truncated():
+    # ftruncate on a character device raises EINVAL
+    _write_text(os.devnull, NEW_TEXT)
+    emit_csv(_constant(), os.devnull)
+
+
+def test_failed_write_leaves_an_empty_file(tmp_path, monkeypatch):
+    path = tmp_path / "out.csv"
+    path.write_text("old contents\n" * 50)
+    real_write = os.write
+    calls = []
+
+    def write_then_fail(fd, data):
+        calls.append(len(data))
+        if len(calls) == 1:
+            return real_write(fd, data[:5])  # a short write: the rest is retried
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(os, "write", write_then_fail)
+    with pytest.raises(OSError) as info:
+        _write_text(path, NEW_TEXT)
+    monkeypatch.undo()
+    assert info.value.errno == errno.ENOSPC
+    assert calls == [len(NEW_TEXT), len(NEW_TEXT) - 5]
+    assert path.read_bytes() == b""
+
+
+def test_missing_directory_raises_and_exits_2(tmp_path, capsys):
+    with pytest.raises(FileNotFoundError):
+        _write_text(tmp_path / "missing" / "out.csv", NEW_TEXT)
+    out = tmp_path / "missing" / "run"
+    assert main(["experiment", "--gen", "uniform:0,1", "--count", "3", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(out) in captured.err
+    assert not (tmp_path / "missing").exists()
+
+
+def _experiment(out, count: int, capsys) -> int:
+    rc = main(["experiment", "--gen", "uniform:-20,20", "--n", "10", "--count", str(count),
+               "--svg", "--log-axes", "--out", str(out)])
+    capsys.readouterr()
+    return rc
+
+
+@pytest.mark.parametrize("first,second", [(50, 3), (3, 50)], ids=["shrink", "grow"])
+def test_rerun_into_the_same_prefix_matches_a_fresh_run(first, second, tmp_path, capsys):
+    (tmp_path / "reused").mkdir()
+    (tmp_path / "fresh").mkdir()
+    _experiment(tmp_path / "reused" / "run", first, capsys)
+    rc = _experiment(tmp_path / "reused" / "run", second, capsys)
+    assert rc == _experiment(tmp_path / "fresh" / "run", second, capsys)
+    reused = sorted(p.name for p in (tmp_path / "reused").iterdir())
+    assert reused == sorted(p.name for p in (tmp_path / "fresh").iterdir())
+    assert len(reused) == 6
+    for name in reused:
+        assert (tmp_path / "reused" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
