@@ -4,7 +4,6 @@ from .analysis import (
     bound_leading_term,
     cond_lse,
     cond_softmax,
-    softmax_jacobian,
     y_range,
 )
 from .harness import (

@@ -1,8 +1,11 @@
-"""Condition numbers, softmax Jacobian, y-range and error-bound leading terms.
+"""Condition numbers, y-range and error-bound leading terms.
 
-All quantities are evaluated in binary64 from oracle-grade reference values;
-the bound formulas give the coefficient of the unit roundoff u in the
-first-order relative error bound of each algorithm.
+All quantities are evaluated in binary64 from oracle-grade reference values.
+``cond_softmax`` takes the infinity norm of the softmax Jacobian
+G = diag(g) - g g^T from its closed form 2 max_i g_i (1 - g_i), in O(n) and
+within 16u (u = 2^-53) of the exact value for the oracle's g.  The bound
+formulas give the coefficient of the unit roundoff u in the first-order
+relative error bound of each algorithm.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from .precision import as_batch, per_row
 
 __all__ = [
     "cond_lse",
-    "softmax_jacobian",
     "cond_softmax",
     "y_range",
     "bound_leading_term",
@@ -55,86 +57,29 @@ def cond_lse(x: Sequence[float], ref: Reference | None = None) -> float:
     return xnorm / abs(y)
 
 
-def _jacobian_rows(g: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Rows ``rows`` of diag(g) - g g^T as one C-contiguous (len(rows) x n) array.
-
-    Bit for bit the rows of diag(g) - outer(g, g): -(g_i g_j) + 0.0 is
-    0 - g_i g_j (a product that underflows gives +0.0, not -0.0), and each
-    row's diagonal entry then adds g_i, since a - b is a + (-b).
-    """
-    gr = g[rows]
-    J = np.multiply.outer(-gr, g)
-    J += 0.0
-    J[np.arange(len(rows)), rows] += gr
-    return J
-
-
-def softmax_jacobian(x: Sequence[float], ref: Reference | None = None) -> np.ndarray:
-    """Jacobian of softmax of one vector: diag(g) - g g^T, from oracle-grade g."""
-    g = _one_vector(x, ref)[1].g_ref[0]
-    return _jacobian_rows(g, np.arange(len(g)))
-
-
-_U = math.ldexp(1.0, -53)  # unit roundoff of binary64
-_ETA = math.ldexp(1.0, -1074)  # smallest subnormal of binary64
-
-
-def _row_sum_bounds(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(lo, hi) with lo_i <= r_i <= hi_i, in O(n), where r_i is row i of
-    ``np.sum(np.abs(G), axis=1)`` for G = diag(g) - g g^T as built by
-    :func:`_jacobian_rows`, or its sum in any other order.
-
-    For 0 <= g_j <= 1 and n u <= 2^-30, with u = 2^-53, eta = 2^-1074 and
-    M = 1 + sum_j g_j, so that E_i = g_i (M - 2 g_i) is the exact row sum of
-    |diag(g) - g g^T|:
-    - row i of |G| holds fl(g_i - fl(g_i^2)) and fl(g_i g_j), j != i, all
-      >= 0; a product is ab(1 + d) + e with |d| <= u and |e| <= eta/2, so
-      the entries' exact sum T_i is within u g_i M + n eta/2 of E_i;
-    - n nonnegative terms added in any order give r_i within
-      gamma_{n-1} T_i of T_i (gamma_k = ku/(1 - ku); a sum that is
-      subnormal is exact, and T_i <= n cannot overflow);
-    - s = fl(1 + g.sum()), summed in any order, is within
-      (u + gamma_{n-1}) M of M.
-    So |r_i - g_i (s - 2 g_i)| <= 2n u g_i s + (n + 1) eta/2 to first
-    order in nu.  hi_i = fl(fl(fl(s + k) - 2 g_i) g_i) + c and lo_i, from
-    s - k and - c, lose at most 3u g_i (s + k) + eta/2 more, so
-    k = (2n + 8)u s and c = (n + 2) eta bound r_i.  Adding or taking c
-    rounds to nearest, which cannot cross the float r_i.
-    """
-    n = g.size
-    s = 1.0 + float(g.sum())
-    k = (2 * n + 8) * _U * s
-    c = (n + 2) * _ETA
-    hi = g * -2.0
-    lo = hi + (s - k)
-    lo *= g
-    lo -= c
-    hi += s + k
-    hi *= g
-    hi += c
-    return lo, hi
-
-
 def cond_softmax(x: Sequence[float], ref: Reference | None = None) -> tuple[float, float]:
     """(exact, upper) infinity-norm condition numbers of softmax of one vector.
 
     exact = ||G||_inf * ||x||_inf / ||g||_inf; upper = n * ||x||_inf.
 
-    ||G||_inf is the largest row sum of |G|, G = diag(g) - g g^T, bit for
-    bit as summed over the whole matrix, but only the rows that can hold it
-    are built: those whose upper bound from :func:`_row_sum_bounds` reaches
-    the largest lower bound.  The row with the largest sum is always among
-    them.  On a typical vector that is one row, so the cost is O(n); when
-    every g_i is equal every row is a candidate, O(n^2).
+    G = diag(g) - g g^T, and row i of |G| sums to 2 g_i (1 - g_i) because
+    the other g_j sum to 1 - g_i, so ||G||_inf = 2 max_i g_i (1 - g_i).
+    Only the pivot k, the entry the oracle shifts by, can have g_k near 1;
+    its 1 - g_k is s/(1 + s) from the oracle's pivot-zeroed sum s, which
+    does not cancel.  Every other g_i is at most 1/2, so 1 - g_i is one
+    correct rounding.  Unless some g_i or the result is subnormal, the
+    result is within 16u of the exact value for the oracle's g.
     """
     a, ref = _one_vector(x, ref)
     g = ref.g_ref[0]
-    lo, hi = _row_sum_bounds(g)
-    J = _jacobian_rows(g, (hi >= lo.max()).nonzero()[0])
+    s = float(ref.s[0])
+    k = a.argmax()  # the oracle's pivot: the first index of the maximum
+    h = g * (1.0 - g)
+    h[k] = g[k] * (s / (1.0 + s))
     xnorm = float(np.abs(a).max())
-    gnorm = float(abs(g).max())
-    norm_G = float(abs(J).sum(axis=1).max())
-    exact = norm_G * xnorm / gnorm
+    gnorm = float(g.max())
+    # 2 max h / ||g|| <= 2, so only the result itself can overflow or be subnormal
+    exact = 2.0 * float(h.max()) / gnorm * xnorm
     upper = g.size * xnorm
     return exact, upper
 

@@ -39,10 +39,13 @@ _MIN_MEASURABLE_U = math.ldexp(1.0, 20 - 53)
 @dataclass(frozen=True)
 class Reference:
     """The oracle's log-sum-exp, one entry per row, and softmax, one row
-    per vector."""
+    per vector; ``s`` holds each row's pivot-zeroed sum sum_{j != k}
+    exp(x_j - x_k), k the first index of the row's maximum, so that
+    g_k = 1/(1 + s) and 1 - g_k = s/(1 + s)."""
 
     y_ref: np.ndarray
     g_ref: np.ndarray
+    s: np.ndarray
 
 
 def lse_softmax_reference(x) -> Reference:
@@ -71,7 +74,7 @@ def lse_softmax_reference(x) -> Reference:
         s.append(math.fsum(row))
     y = a + np.array(list(map(math.log1p, s)))
     g = np.array(w).reshape(rows.shape) / np.array(denom)[:, None]
-    return Reference(y, g)
+    return Reference(y, g, np.array(s))
 
 
 def measurable(fmt: FloatFormat) -> bool:

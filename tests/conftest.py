@@ -1,6 +1,9 @@
 import math
 
+import numpy as np
+
 from lselab.harness import Records
+from lselab.oracle import lse_softmax_reference
 
 
 def match_3sf(computed: float, table) -> bool:
@@ -19,6 +22,14 @@ def match_3sf(computed: float, table) -> bool:
         return computed == 0.0
     unit = 10.0 ** (math.floor(math.log10(abs(table))) - 2)
     return abs(computed - table) <= unit * (1.0 + 1e-9)
+
+
+def softmax_jacobian(x) -> np.ndarray:
+    """The softmax Jacobian G = diag(g) - g g^T of one vector, as numpy forms
+    it from the oracle's g: the definition ``cond_softmax``'s closed form
+    stands for.  O(n^2)."""
+    g = lse_softmax_reference(x).g_ref[0]
+    return np.diag(g) - np.outer(g, g)
 
 
 def raised(result, i: int = 0) -> set[str]:

@@ -14,18 +14,12 @@ cache of ``ArithmeticContext.sum``, fp64 included), so this function checks
 it independently, as does the array definition ``_round_by_scaling`` in
 ``test_table_chop``.  The scalar kernels add one term at a time with
 ``round_reference``, the sum ``ArithmeticContext.sum`` must reproduce.
-
-``cond_softmax_reference`` is the softmax condition number as lselab
-computed it before it bounded the Jacobian's row sums: it builds the whole
-n x n Jacobian with numpy and sums every row.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from lselab.precision import FloatFormat
 
@@ -168,16 +162,3 @@ def lse_softmax_reference(x: list[float]) -> Result:
     denom = math.fsum([1.0, *(wi for i, wi in enumerate(w) if i != k)])
     return Result(y, [wi / denom for wi in w])
 
-
-def cond_softmax_reference(x: list[float], g: np.ndarray) -> tuple[float, float]:
-    """(exact, upper) condition numbers of softmax from all of G = diag(g) - g g^T.
-
-    ``g`` is the oracle's softmax of ``x``.  O(n^2) time and memory.
-    """
-    G = np.multiply.outer(-g, g)
-    G += 0.0
-    G.flat[:: len(g) + 1] += g
-    xnorm = max(abs(v) for v in x)
-    gnorm = max(abs(v) for v in g.tolist())
-    norm_G = float(np.max(np.sum(np.abs(G), axis=1)))
-    return norm_G * xnorm / gnorm, len(x) * xnorm

@@ -6,7 +6,6 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from lselab.analysis import softmax_jacobian
 from lselab.cli import main as cli_main
 from lselab.harness import (
     DataSpec,
@@ -35,7 +34,7 @@ def main_suite():
     return data, records
 
 
-from conftest import emit_vectors_csv, match_3sf, same_records, select
+from conftest import emit_vectors_csv, match_3sf, same_records, select, softmax_jacobian
 
 
 def report(criterion, ok):

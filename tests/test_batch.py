@@ -9,9 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalar_reference as ref
-from conftest import raised, same_bits, same_result
-from lselab import analysis, precision
-from lselab.analysis import cond_softmax, softmax_jacobian
+from conftest import raised, same_bits, same_result, softmax_jacobian
+from lselab import precision
 from lselab.harness import DataSpec, _generate_one, generate
 from lselab.kernels import lse_softmax_basic, lse_softmax_shifted, softmax_alt
 from lselab.oracle import lse_softmax_reference
@@ -467,109 +466,3 @@ def test_jacobian_matches_diag_minus_outer_bitwise():
         g = np.array(ref.lse_softmax_reference(x).g)
         want = np.diag(g) - np.outer(g, g)
         assert softmax_jacobian(x).tobytes() == want.tobytes(), x
-
-
-def _check_cond_softmax(x, monkeypatch) -> int:
-    """Check ``cond_softmax(x)`` bit for bit against the whole-Jacobian
-    reference and return the number of Jacobian rows it built."""
-    built = []
-    jacobian_rows = analysis._jacobian_rows
-
-    def spy(g, rows):
-        built.append(len(rows))
-        return jacobian_rows(g, rows)
-
-    monkeypatch.setattr(analysis, "_jacobian_rows", spy)
-    got = cond_softmax(x)
-    want = ref.cond_softmax_reference(x, lse_softmax_reference(x).g_ref[0])
-    assert list(map(_bits, got)) == list(map(_bits, want)), (x, got, want)
-    return sum(built)
-
-
-def _dominant(n: int, seed: int) -> list[float]:
-    """One entry at 0, the rest where g is subnormal or 0 and S - g_0 cancels."""
-    return [0.0] + np.random.default_rng(seed).uniform(-745.0, -40.0, n - 1).tolist()
-
-
-@pytest.mark.parametrize("x", [
-    [1e308, -1e308], [-1e308, 1e308, 0.0], [1e308, 1e308, 1e308], [-1e308, -1e308],
-    [-0.0, 0.0], [0.0], [-0.0], [1e308], [-1e308, -0.0],
-    [5.0, 5.0] + np.random.default_rng(1).uniform(-20.0, 4.9, 98).tolist(),  # two tied maxima
-    [-3.0, 7.5, 7.5, -3.0, 0.0],
-    [0.0, -745.0, -745.0, -40.0, -40.0],
-    _dominant(2, 2), _dominant(50, 3), _dominant(700, 4),
-    np.random.default_rng(5).choice([1.25, -3.0], 300).tolist(),  # two values
-])
-def test_cond_softmax_matches_full_jacobian(x, monkeypatch):
-    _check_cond_softmax(x, monkeypatch)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 64, 513])
-@pytest.mark.parametrize("c", [0.0, 2.5, -700.0])
-def test_cond_softmax_on_constant_vectors_builds_every_row(n, c, monkeypatch):
-    assert _check_cond_softmax([c] * n, monkeypatch) == n
-
-
-@given(st.integers(1, 700), st.sampled_from([1.0, 20.0, 800.0]), st.booleans(),
-       st.integers(0, 2**32 - 1))
-@settings(max_examples=150, deadline=None)
-def test_cond_softmax_matches_full_jacobian_hypothesis(n, scale, tied, seed):
-    x = np.random.default_rng(seed).uniform(-scale, scale, n)
-    if tied:
-        x = np.round(x, 1)  # many equal entries, so many equal rows
-    with pytest.MonkeyPatch.context() as mp:
-        _check_cond_softmax(x.tolist(), mp)
-
-
-@given(st.lists(st.floats(-1e308, 1e308) | st.sampled_from([0.0, -0.0, 1.0, -745.0]),
-                min_size=1, max_size=40))
-@settings(max_examples=200, deadline=None)
-def test_cond_softmax_matches_full_jacobian_on_any_floats(x):
-    with pytest.MonkeyPatch.context() as mp:
-        _check_cond_softmax(x, mp)
-
-
-def test_cond_softmax_builds_few_rows_on_a_typical_vector(monkeypatch):
-    x = np.random.default_rng(512).uniform(-20.0, 20.0, 512).tolist()
-    assert 1 <= _check_cond_softmax(x, monkeypatch) <= 4
-
-
-# g_0 _V with g_0 = 1/2 is just over half an ulp of 1/2, so each such term
-# added to a partial sum in [1/2, 1) rounds up
-_V = math.ldexp(1.0, -53) * (1.0 + math.ldexp(1.0, -20))
-
-
-def _adversarial_g(kind: str, n: int) -> np.ndarray:
-    """g in [0, 1]^n (not a softmax) whose row-0 sum rounds up at nearly
-    every addition."""
-    g = np.full(n, _V)
-    if kind == "accumulators":  # row 0's partial sums start at 1/2 in each of
-        g[0], g[1:8] = 0.5, 1.0  # np.sum's eight interleaved accumulators
-    elif kind == "left-to-right":
-        g[0], g[1] = 0.5, 1.0
-    else:  # "underflow": each g_0 g_j, 3/4 of the smallest subnormal, rounds up to it
-        g[:] = 0.25
-        g[0] = 3 * math.ldexp(1.0, -1074)
-    return g
-
-
-def _row_sums_in_four_orders(g: np.ndarray) -> list[np.ndarray]:
-    A = np.abs(analysis._jacobian_rows(g, np.arange(len(g))))
-    return [
-        np.sum(A, axis=1),
-        np.cumsum(A, axis=1)[:, -1],
-        np.cumsum(A[:, ::-1], axis=1)[:, -1],
-        np.array([math.fsum(row) for row in A.tolist()]),
-    ]
-
-
-@pytest.mark.parametrize("g", [
-    *(_adversarial_g(kind, n) for kind in ("accumulators", "left-to-right", "underflow")
-      for n in (16, 128, 129, 700)),
-    *(np.random.default_rng(seed).uniform(0.0, 1.0, n) for seed, n in ((6, 1), (7, 9), (8, 300))),
-    *(lse_softmax_reference(x).g_ref[0] for x in ([2.5] * 64, _dominant(300, 9), [1e308, -1e308])),
-])
-def test_row_sum_bounds_hold_in_any_summation_order(g):
-    lo, hi = analysis._row_sum_bounds(g)
-    for r in _row_sums_in_four_orders(g):
-        assert np.all((lo <= r) & (r <= hi))

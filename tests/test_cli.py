@@ -63,6 +63,15 @@ class TestAnalyze:
         assert res["bounds"]["shifted_lse"] == pytest.approx(3.662104385198038, rel=1e-12)
         assert res["y_range"] == [1.0, 1.0 + math.log(2.0)]
 
+    def test_dominated_vector_softmax_condition(self, capsys):
+        # 1 - g_0 is about 1e-16: summing row 0 of |G| entry by entry cancels
+        # to 8.3378e-15, 3.9 % low; the value below is 60-digit mpmath
+        assert main(["analyze", "--json", "--x=0,-36.8,-40"]) == 0
+        res = json.loads(capsys.readouterr().out)
+        exact = 8.6776986649000623e-15
+        assert res["cond_softmax_exact"] == pytest.approx(exact, rel=16 * 2.0**-53, abs=0.0)
+        assert res["cond_softmax_upper"] == 120.0
+
     def test_infinite_condition(self, capsys):
         c = repr(-math.log(4.0))
         assert main(["analyze", "--x=" + ",".join([c] * 4), "--json"]) == 0

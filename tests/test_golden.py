@@ -112,7 +112,7 @@ def _long_vector() -> str:
 SINGLE_VECTORS = ["1,-1", "7.40625,7.83984375", "-0.0,0.0", "1e308,-1e308", "5", "-800",
                   _long_vector()]
 EVAL_FORMATS = ["fp16", "bfloat16", "fp32", "fp64", "custom:t=5,emin=-6,emax=7,subnormals=0"]
-EVAL_ANALYZE_SHA256 = "b64e6a9ca450d6ad4c295e86a8a77463507c0c2edee8033d9f1b251e318e6567"
+EVAL_ANALYZE_SHA256 = "1f834f9b020cb211d33b52d4ca5254896b418dc7e7edbe436e2697f7770e5519"
 
 
 def test_eval_and_analyze_outputs_match_frozen_digest(capsys):
@@ -133,10 +133,10 @@ def test_eval_and_analyze_outputs_match_frozen_digest(capsys):
 
 
 def _stress_vectors() -> list[str]:
-    """512-entry vectors from stdlib streams: a constant (every Jacobian row
-    ties), two values (two row sums), one entry at 0 with the rest at
-    -745...-40 (their g tiny, subnormal or 0, so sum_j g_j - g_0 cancels) and
-    uniform(-800, 800)."""
+    """512-entry vectors from stdlib streams: a constant (every g_i equal),
+    two values (two distinct g_i), one entry at 0 with the rest at
+    -745...-40 (their g tiny, subnormal or 0, and 1 - g_0 far below u, so
+    only the pivot-zeroed sum gives it) and uniform(-800, 800)."""
     r = random.Random(13)
     vectors = [[2.5] * 512, [r.choice((1.25, -3.0)) for _ in range(512)]]
     vectors.append([0.0] + [r.uniform(-745.0, -40.0) for _ in range(511)])
@@ -144,7 +144,7 @@ def _stress_vectors() -> list[str]:
     return [",".join(map(repr, v)) for v in vectors]
 
 
-ANALYZE_STRESS_SHA256 = "ae398a22dab6cf6491d51fd6015919a40140d3843f168451db90597211cd7df6"
+ANALYZE_STRESS_SHA256 = "1aa3a9b178242b14b9d1cced9344355352e782095363febd5463d91d204e7ac9"
 
 
 def test_analyze_on_long_stress_vectors_matches_frozen_digest(capsys):
