@@ -208,11 +208,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     pf = sub.add_parser("formats", help="print the supported format parameters")
     pf.set_defaults(func=cmd_formats)
+    p.subcommands = sub.choices  # name -> that subcommand's parser, for main
     return p
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one ``lselab`` command line, ``sys.argv[1:]`` by default.  A
+    subcommand's arguments are parsed by its parser alone; the full parser
+    parses any other argv and reports arguments nobody recognized."""
+    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    sub = parser.subcommands.get(argv[0]) if argv else None
+    if sub is None:
+        args = parser.parse_args(argv)
+    else:
+        args, extras = sub.parse_known_args(argv[1:])
+        if extras:
+            parser.error("unrecognized arguments: " + " ".join(extras))
     try:
         return args.func(args)
     except (OSError, ValueError, MemoryError) as exc:

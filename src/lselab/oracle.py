@@ -1,10 +1,13 @@
 """High-accuracy reference evaluation and scaled-error measurement.
 
 The reference runs the shifted algorithm in binary64 with exact
-(Shewchuk-style) compensated summation of the exponential terms, giving
-roughly full binary64 accuracy.  That leaves >= 2^20 precision headroom
-over every sub-double target format, so scaled errors measured against it
-are meaningful for fp16, bfloat16 and fp32 -- but not for fp64 itself.
+(Shewchuk-style) compensated summation of the exponential terms.  Each
+shift x_j - x_k is one binary64 subtraction, off by up to half an ulp of
+the difference, so g_j carries up to 2^-45 relative error for
+|x_j - x_k| in [256, 512), and up to 2^-44 beyond.  That still leaves, only
+just, the 2^20 precision headroom over fp32 (u = 2^-24) that ``measurable``
+requires, so scaled errors measured against it are meaningful for fp16,
+bfloat16 and fp32 -- but not for fp64 itself.
 
 ``lse_softmax_reference`` takes a (rows x n) batch, one vector being a
 one-row batch; the experiment engine calls it once per batch of
@@ -54,7 +57,9 @@ def lse_softmax_reference(x) -> Reference:
     ``x`` is a (rows x n) batch or one vector, a one-row batch.  Every
     x_i - a is one binary64 subtraction and every exp a C-library ``exp``,
     and the two sums are exact (``math.fsum``), so a row's result does not
-    depend on the batch.
+    depend on the batch.  The subtraction bounds the accuracy of g: up to
+    2^-45 relative error where |x_i - a| is in [256, 512), up to 2^-44
+    beyond (see the module docstring).
     """
     rows = as_batch(x)
     n = rows.shape[1]

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -204,13 +205,26 @@ def test_bad_input_exits_2_with_one_line(argv, csv_text, message, tmp_path, monk
     assert not list(tmp_path.glob("run*"))
 
 
+def _outcome(run, argv, capsys):
+    """(stdout, stderr, exit code) of one call; the exit code is the return
+    value or ``SystemExit.code``."""
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return captured.out, captured.err, code
+
+
 def test_parser_reused_across_calls(capsys):
-    # one process, several subcommands and options (--json on, then off):
-    # each call prints what a call with a freshly built parser prints
+    # one process, several subcommands and options (--json on, then off),
+    # with a call that argparse rejects in the middle: each call prints what
+    # a call with a freshly built parser prints
     calls = [
         ["eval", "--alg", "alt-basic", "--format", "fp16", "--x", "12,0", "--json"],
         ["eval", "--alg", "alt-basic", "--format", "fp16", "--x", "12,0"],
         ["analyze", "--x", "1,-1,3", "--json"],
+        ["eval", "--bogus"],
         ["analyze", "--x", "1,-1,3"],
         ["formats"],
         ["eval", "--x", "1,2,3"],
@@ -218,15 +232,61 @@ def test_parser_reused_across_calls(capsys):
     fresh = []
     for argv in calls:
         build_parser.cache_clear()
-        assert main(argv) == 0
-        fresh.append(capsys.readouterr())
+        fresh.append(_outcome(main, argv, capsys))
     build_parser.cache_clear()
-    reused = []
-    for argv in calls:
-        assert main(argv) == 0
-        reused.append(capsys.readouterr())
+    reused = [_outcome(main, argv, capsys) for argv in calls]
     assert reused == fresh
+    assert [code for _, _, code in fresh] == [0, 0, 0, 2, 0, 0, 0]
     assert build_parser.cache_info().misses == 1
+
+
+def _full_parser_main(argv):
+    """``main`` as it was when every call went through the full parser."""
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except (OSError, ValueError, MemoryError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param([], id="no-arguments"),
+    pytest.param(["-h"], id="help"),
+    pytest.param(["eval", "--help"], id="eval-help"),
+    pytest.param(["analyze", "--help"], id="analyze-help"),
+    pytest.param(["experiment", "--help"], id="experiment-help"),
+    pytest.param(["formats", "--help"], id="formats-help"),
+    pytest.param(["evl", "--x", "1"], id="unknown-subcommand"),
+    pytest.param(["--x", "1", "eval"], id="option-before-subcommand"),
+    pytest.param(["eval", "--bogus"], id="eval-unrecognized-option"),
+    pytest.param(["formats", "extra"], id="formats-unrecognized-argument"),
+    pytest.param(["eval", "--alg", "nope", "--x", "1"], id="eval-bad-choice"),
+    pytest.param(["eval"], id="eval-missing-vector"),
+    pytest.param(["eval", "--x", "1,2", "--", "3"], id="eval-double-dash"),
+    pytest.param(["eval", "--fo", "fp16", "--x", "1,2"], id="eval-abbreviated-option"),
+    pytest.param(["eval", "--x=-1.5,2"], id="eval-negative-first-entry"),
+    pytest.param(["experiment", "--gen", "uniform:-20,20", "--n", "4", "--count", "20",
+                  "--format", "fp16", "--seed", "3", "--out", "run", "--svg"],
+                 id="experiment"),
+])
+def test_same_outcome_as_the_full_parser(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    expected = _outcome(_full_parser_main, argv, capsys)
+    written = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert _outcome(main, argv, capsys) == expected
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == written
+
+
+def test_main_reads_sys_argv_by_default(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["lselab", "eval", "--x", "1,2", "--json"])
+    assert main() == 0
+    assert json.loads(capsys.readouterr().out)["algorithm"] == "shifted"
+    monkeypatch.setattr(sys, "argv", ["lselab", "eval", "--bogus"])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == "lselab: error: unrecognized arguments: --bogus"
 
 
 def test_analyze_runs_oracle_once(monkeypatch, capsys):
