@@ -36,7 +36,7 @@ from .kernels import (
     lse_softmax_shifted,
     softmax_alt,
 )
-from .oracle import lse_softmax_reference, scaled_errors, scaled_errors_vec
+from .oracle import lse_softmax_reference, scaled_error, scaled_error_vec
 from .precision import ArithmeticContext, FloatFormat, chop
 from .quantities import KERNELS, QUANTITIES, SUM_DEV_COLUMNS, Quantity
 
@@ -290,12 +290,12 @@ def _run_batch(
     g_errors, sum_devs = {}, {}
     for res in runs.values():
         if id(res) not in g_errors:
-            g_errors[id(res)] = scaled_errors_vec(res.g, g_ref, fmt)
+            g_errors[id(res)] = scaled_error_vec(res.g, g_ref, fmt)
             sum_devs[id(res)] = _sum_deviations(res.g, u)
     for q in QUANTITIES:
         res = runs[q.kernel]
         if q.lse:
-            columns[q.err] = scaled_errors(res.y, y_ref, fmt)
+            columns[q.err] = scaled_error(res.y, y_ref, fmt)
         else:
             columns[q.err] = g_errors[id(res)]
         columns[q.bnd] = factors[q.bound_id]

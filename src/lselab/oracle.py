@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -29,8 +28,6 @@ __all__ = [
     "lse_softmax_reference",
     "scaled_error",
     "scaled_error_vec",
-    "scaled_errors",
-    "scaled_errors_vec",
     "measurable",
 ]
 
@@ -86,39 +83,19 @@ def measurable(fmt: FloatFormat) -> bool:
     return fmt.unit_roundoff >= _MIN_MEASURABLE_U
 
 
-def scaled_error(computed: float, reference: float, fmt: FloatFormat) -> float:
-    """|computed - reference| / (u * |reference|); +inf for inf/NaN results."""
-    if reference == 0.0 or reference != reference:
-        raise ValueError("scaled error is undefined for a zero reference")
-    return float(scaled_errors(np.array([computed]), np.array([reference]), fmt)[0])
-
-
-def scaled_error_vec(
-    computed: Sequence[float], reference: Sequence[float], fmt: FloatFormat
-) -> float:
-    """Infinity-norm analogue of :func:`scaled_error`."""
-    if len(computed) != len(reference):
-        raise ValueError(
-            f"length mismatch: {len(computed)} computed vs {len(reference)} reference"
-        )
-    norm_ref = max(abs(r) for r in reference)
-    if norm_ref == 0.0 or norm_ref != norm_ref:
-        raise ValueError("scaled error is undefined for a zero reference vector")
-    return float(scaled_errors_vec(np.array([computed]), np.array([reference]), fmt)[0])
-
-
-def scaled_errors(computed: np.ndarray, reference: np.ndarray, fmt: FloatFormat) -> np.ndarray:
-    """:func:`scaled_error` of each entry; +inf where the reference is 0."""
+def scaled_error(computed: np.ndarray, reference: np.ndarray, fmt: FloatFormat) -> np.ndarray:
+    """|computed - reference| / (u * |reference|) entrywise on two arrays of
+    one shape, u the unit roundoff of ``fmt``; +inf where computed is inf or
+    NaN or reference is 0."""
     with np.errstate(all="ignore"):
         err = np.abs(computed - reference) / (fmt.unit_roundoff * np.abs(reference))
     return np.where((reference == 0.0) | ~np.isfinite(computed), np.inf, err)
 
 
-def scaled_errors_vec(
-    computed: np.ndarray, reference: np.ndarray, fmt: FloatFormat
-) -> np.ndarray:
-    """:func:`scaled_error_vec` of each row of two (rows x n) arrays; +inf
-    where a reference row is 0."""
+def scaled_error_vec(computed: np.ndarray, reference: np.ndarray, fmt: FloatFormat) -> np.ndarray:
+    """max |computed - reference| / (u * max |reference|) of each row of two
+    (rows x n) arrays of one shape, u the unit roundoff of ``fmt``; +inf where
+    a computed row has an inf or NaN entry or a reference row is 0."""
     norm_ref = np.abs(reference).max(axis=1)
     with np.errstate(all="ignore"):
         err = np.abs(computed - reference).max(axis=1) / (fmt.unit_roundoff * norm_ref)

@@ -47,3 +47,38 @@ def test_all_names_exist(module):
 def test_reexport_is_declared(module, name):
     assert name in importlib.import_module(module).__all__
     assert getattr(lselab, name) is getattr(importlib.import_module(module), name)
+
+
+def _unreferenced_exports():
+    """``module.name`` for each ``__all__`` name that no code in the package
+    refers to, apart from the statement that defines it, ``__all__`` lists
+    and ``__init__.py``."""
+    declared, referenced = [], set()
+    for path in sorted(Path(lselab.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for stmt in tree.body:
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+            defined = {getattr(stmt, "name", None), *(getattr(t, "id", None) for t in targets)}
+            if "__all__" in defined:
+                declared += [f"{path.stem}.{elt.value}" for elt in stmt.value.elts]
+                continue
+            for node in ast.walk(stmt):
+                if isinstance(getattr(node, "ctx", None), ast.Load):
+                    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                    if name not in defined:
+                        referenced.add(name)
+    return [qual for qual in declared if qual.split(".")[1] not in referenced]
+
+
+# ``__all__`` names kept with no caller in the package, and why.  The test
+# fails once one of them gains a caller or is deleted, so the table cannot
+# go stale.
+KEPT_UNCALLED = {
+    "harness.run_trial": "perfbench/spans.py wraps it by name and counts trials by its calls (ROADMAP item 5)",
+}
+
+
+def test_every_export_has_a_caller():
+    assert _unreferenced_exports() == list(KEPT_UNCALLED)

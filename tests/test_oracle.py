@@ -83,46 +83,39 @@ class TestReference:
             lse_softmax_reference([math.nan])
 
 
-class TestScaledError:
-    def test_zero_error(self):
-        fp16 = format_params("fp16")
-        assert scaled_error(1.25, 1.25, fp16) == 0.0
-
-    def test_one_unit_roundoff(self):
-        fp16 = format_params("fp16")
-        assert scaled_error(1.0 + 2.0**-11, 1.0, fp16) == pytest.approx(1.0)
-
-    def test_overflowed_result(self):
-        fp16 = format_params("fp16")
-        assert scaled_error(math.inf, 5.0, fp16) == math.inf
-        assert scaled_error(math.nan, 5.0, fp16) == math.inf
-
-    def test_zero_reference_rejected(self):
-        fp16 = format_params("fp16")
-        with pytest.raises(ValueError):
-            scaled_error(1.0, 0.0, fp16)
+FP16 = format_params("fp16")
+U16 = 2.0**-11
 
 
-class TestScaledErrorVec:
-    def test_zero_error(self):
-        fp16 = format_params("fp16")
-        assert scaled_error_vec([0.5, 0.5], [0.5, 0.5], fp16) == 0.0
+@pytest.mark.parametrize("computed,reference,expected", [
+    pytest.param([1.25, -3.0], [1.25, -3.0], [0.0, 0.0], id="zero-error"),
+    pytest.param([1.0 + U16, -2.0 - 2 * U16], [1.0, -2.0], [1.0, 1.0], id="one-u"),
+    pytest.param([math.inf, math.nan, -math.inf], [5.0, 5.0, 5.0], [math.inf] * 3, id="inf-nan"),
+    pytest.param([1.0, 0.0, 2.0], [0.0, 0.0, 2.0], [math.inf, math.inf, 0.0], id="zero-reference"),
+    pytest.param([1e-3 * (1 + 3 * U16), 1e4 * (1 - U16), 7.0], [1e-3, 1e4, 7.0], [3.0, 1.0, 0.0],
+                 id="magnitudes"),
+])
+def test_scaled_error(computed, reference, expected):
+    err = scaled_error(np.array(computed), np.array(reference), FP16)
+    assert err.shape == (len(computed),)
+    assert err.tolist() == pytest.approx(expected, rel=1e-12)
 
-    def test_one_u_perturbation_of_max_entry(self):
-        fp16 = format_params("fp16")
-        err = scaled_error_vec(
-            [0.5 + 2.0**-11 * 0.5, 0.5], [0.5, 0.5], fp16
-        )
-        assert err == pytest.approx(1.0)
 
-    def test_nan_entry(self):
-        fp16 = format_params("fp16")
-        assert scaled_error_vec([math.nan, 0.5], [0.5, 0.5], fp16) == math.inf
-
-    def test_length_mismatch(self):
-        fp16 = format_params("fp16")
-        with pytest.raises(ValueError):
-            scaled_error_vec([1.0], [1.0, 2.0], fp16)
+@pytest.mark.parametrize("computed,reference,expected", [
+    pytest.param([[0.5, 0.5]], [[0.5, 0.5]], [0.0], id="zero-error"),
+    # the largest entry error over the largest reference entry, not the sum
+    pytest.param([[0.5 + U16 * 0.5, 0.25 + U16 * 0.25]], [[0.5, 0.25]], [1.0], id="one-u"),
+    pytest.param([[math.nan, 0.5], [0.5, math.inf]], [[0.5, 0.5], [0.5, 0.5]], [math.inf] * 2,
+                 id="inf-nan"),
+    pytest.param([[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]], [math.inf] * 2,
+                 id="zero-reference"),
+    pytest.param([[1e-3 * (1 + 2 * U16), 1e-4], [1e4, -1e4 * (1 + U16)], [3.0, 0.0]],
+                 [[1e-3, 1e-4], [1e4, -1e4], [3.0, 0.0]], [2.0, 1.0, 0.0], id="magnitudes"),
+])
+def test_scaled_error_vec(computed, reference, expected):
+    err = scaled_error_vec(np.array(computed), np.array(reference), FP16)
+    assert err.shape == (len(computed),)
+    assert err.tolist() == pytest.approx(expected, rel=1e-12)
 
 
 class TestMeasurable:
