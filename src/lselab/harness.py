@@ -21,9 +21,9 @@ from __future__ import annotations
 import math
 import os
 import stat
-import statistics
 from dataclasses import dataclass
 from functools import reduce
+from operator import add
 from typing import Sequence
 
 import numpy as np
@@ -175,43 +175,60 @@ class Summary:
         return sum(s.bound_violations for s in self.per_algorithm.values())
 
 
-def _generate_one(spec: DataSpec, rng: np.random.Generator) -> np.ndarray:
-    n = spec.n
-    if spec.kind == "uniform":
-        lo, hi = spec.params
-        v = rng.uniform(lo, hi, n)
-    elif spec.kind == "near_singular":
-        (eps,) = spec.params
-        c = -math.log(n)
-        v = c + rng.uniform(-eps, eps, n)
-    elif spec.kind == "wide_spread":
-        (delta,) = spec.params
-        lo = -delta / 2.0
-        v = rng.uniform(lo, lo + delta, n)
-        if n >= 2:
-            # pin one entry near each end so x_max - x_min lands in
-            # [0.9*delta, delta]
-            v[0] = lo + rng.uniform(0.0, 0.05 * delta)
-            v[1] = lo + delta - rng.uniform(0.0, 0.05 * delta)
-            v = rng.permutation(v)
-    else:  # constant
-        (c,) = spec.params
-        v = np.full(n, float(c))
+def _wide_spread(delta: float, n: int, rng: np.random.Generator) -> np.ndarray:
+    """One wide_spread vector: U(-delta/2, delta/2) with an entry pinned near each end."""
+    lo = -delta / 2.0
+    v = rng.uniform(lo, lo + delta, n)
+    if n >= 2:
+        # pin one entry near each end so x_max - x_min lands in
+        # [0.9*delta, delta]
+        v[0] = lo + rng.uniform(0.0, 0.05 * delta)
+        v[1] = lo + delta - rng.uniform(0.0, 0.05 * delta)
+        v = rng.permutation(v)
     return v
 
 
 def generate(spec: DataSpec) -> list[list[float]]:
-    """Seed-reproducible input vectors."""
+    """Seed-reproducible input vectors: trial i draws from ``Philox(seed).jumped(i)``.
+
+    The uniform kinds take each trial's n raw Philox words and map the whole
+    block at once with ``Generator.uniform``'s own formula,
+    lo + (hi - lo) * ((w >> 11) * 2^-53), so they give its values bit for bit.
+    """
+    n, count = spec.n, spec.count
+    if spec.kind == "constant":
+        return np.full((count, n), float(spec.params[0])).tolist()
     bitgen = np.random.Philox(spec.seed)
+    # the seed's key, counter 0, nothing buffered; the state setter reads
+    # plain lists faster than the uint64 arrays the getter returns
+    fresh = bitgen.state
+    state = {
+        **fresh,
+        "state": {k: v.tolist() for k, v in fresh["state"].items()},
+        "buffer": fresh["buffer"].tolist(),
+    }
+    counter = state["state"]["counter"]
     rng = np.random.Generator(bitgen)
-    fresh = bitgen.state  # the seed's key, counter 0, nothing buffered
-    vectors = []
-    for i in range(spec.count):
+    draws = []
+    for i in range(count):
         # Philox(seed).jumped(i) is the fresh state with the counter at i * 2^128
-        fresh["state"]["counter"] = np.array([0, 0, i, 0], dtype=np.uint64)
-        bitgen.state = fresh
-        vectors.append(_generate_one(spec, rng))
-    return np.array(vectors).tolist()
+        counter[2] = i
+        bitgen.state = state
+        if spec.kind == "wide_spread":
+            draws.append(_wide_spread(spec.params[0], n, rng))
+        else:
+            draws.append(bitgen.random_raw(n))
+    if spec.kind == "wide_spread":
+        return np.array(draws).tolist()
+    words = np.array(draws)
+    if spec.kind == "uniform":
+        lo, hi = spec.params
+    else:  # near_singular: -log n + U(-eps, eps)
+        lo, hi = -spec.params[0], spec.params[0]
+    v = lo + (hi - lo) * ((words >> 11) * 2.0**-53)
+    if spec.kind == "near_singular":
+        v = -math.log(n) + v
+    return v.tolist()
 
 
 def _bad_field(path, lineno: int, line: str) -> ValueError:
@@ -251,11 +268,24 @@ def ingest_csv(path: str | os.PathLike) -> list[list[float]]:
     return vectors
 
 
-def _sum_deviations(g: np.ndarray, u: float) -> np.ndarray:
-    """|sum(g) - 1| / u per row, with an exact sum; +inf for a non-finite row."""
-    finite = np.isfinite(g).all(axis=1)
-    sums = [math.fsum(row) if ok else math.inf for row, ok in zip(g.tolist(), finite.tolist())]
-    return np.abs(np.array(sums) - 1.0) / u
+def _sum_deviations(g: np.ndarray, fmt: FloatFormat) -> np.ndarray:
+    """|sum(g) - 1| / u per row, with an exact sum; +inf for a non-finite row.
+
+    Every entry of ``g`` is a ``fmt`` value: a multiple of q = 2^(emin - t + 1),
+    the bottom binade's spacing, and at most r_max in magnitude.  If
+    n * r_max <= 2^53 * q, every partial sum of a row, in any order, is a
+    multiple of q below 2^53 q, hence a binary64 number, and the plain sum is
+    exact (fp16 up to n = 8196).  Other formats take ``math.fsum`` per row.
+    """
+    n = g.shape[1]
+    if n * fmt.r_max <= math.ldexp(1.0, fmt.emin - fmt.precision_bits + 1 + 53):
+        sums = np.add.reduce(g, axis=1)
+        sums[~np.isfinite(sums)] = math.inf
+    else:
+        finite = np.isfinite(g).all(axis=1)
+        sums = np.array([math.fsum(row) if ok else math.inf
+                         for row, ok in zip(g.tolist(), finite.tolist())])
+    return np.abs(sums - 1.0) / fmt.unit_roundoff
 
 
 def _run_batch(
@@ -265,7 +295,6 @@ def _run_batch(
     of equal-length vectors, already rounded to ``fmt``."""
     ref = lse_softmax_reference(xs)
     y_ref, g_ref = ref.y_ref, ref.g_ref
-    u = fmt.unit_roundoff
 
     ctx = ArithmeticContext(fmt)
     basic = lse_softmax_basic(xs, ctx)
@@ -291,7 +320,7 @@ def _run_batch(
     for res in runs.values():
         if id(res) not in g_errors:
             g_errors[id(res)] = scaled_error_vec(res.g, g_ref, fmt)
-            sum_devs[id(res)] = _sum_deviations(res.g, u)
+            sum_devs[id(res)] = _sum_deviations(res.g, fmt)
     for q in QUANTITIES:
         res = runs[q.kernel]
         if q.lse:
@@ -364,6 +393,19 @@ _RATIO_PAIRS = tuple(
 )
 
 
+def _mean(values: list[float]) -> float:
+    """The mean, summed left to right from 0.0 as the builtin ``sum()`` adds
+    floats up to Python 3.11 (from 3.12 it compensates, so its last bit can differ)."""
+    return reduce(add, values, 0.0) / len(values)
+
+
+def _median(values: list[float]) -> float:
+    """The sorted middle value, or the mean of the middle two, as ``statistics.median``."""
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    return ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
+
+
 def _pair_stats(
     num: Quantity, den: Quantity, cols: dict[str, np.ndarray], counted: dict[str, np.ndarray]
 ) -> PairStats:
@@ -382,7 +424,7 @@ def _pair_stats(
         num.err,
         den.err,
         len(ratios),
-        sum(ratios) / len(ratios),
+        _mean(ratios),
         gm,
         min(ratios),
         max(ratios),
@@ -408,8 +450,8 @@ def summarize(records: Records) -> Summary:
             error_field=q.err,
             finite_count=len(finite),
             max=max(finite) if finite else None,
-            mean=sum(finite) / len(finite) if finite else None,
-            median=statistics.median(finite) if finite else None,
+            mean=_mean(finite) if finite else None,
+            median=_median(finite) if finite else None,
             bound_violations=int(np.count_nonzero(errors > bounds)),
             overflow_count=int(np.count_nonzero(overflow)),
         )

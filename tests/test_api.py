@@ -8,7 +8,10 @@ export behind.
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -82,3 +85,13 @@ KEPT_UNCALLED = {
 
 def test_every_export_has_a_caller():
     assert _unreferenced_exports() == list(KEPT_UNCALLED)
+
+
+def test_import_pulls_in_no_heavy_stdlib_modules():
+    """``statistics`` imports ``fractions`` and ``decimal``, about 4 ms of
+    ``import lselab`` that nothing in the package needs."""
+    src = str(Path(lselab.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, lselab; print(sorted({'statistics', 'fractions', 'decimal'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

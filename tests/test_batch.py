@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import scalar_reference as ref
 from conftest import raised, same_bits, same_result, softmax_jacobian
 from lselab import precision
-from lselab.harness import DataSpec, _generate_one, generate
+from lselab.harness import DataSpec, _sum_deviations, generate
 from lselab.kernels import lse_softmax_basic, lse_softmax_shifted, softmax_alt
 from lselab.oracle import lse_softmax_reference
 from lselab.precision import (
@@ -443,19 +443,109 @@ def test_batch_oracle_matches_per_row_oracle_hypothesis(rows):
                          ref.lse_softmax_reference(row))
 
 
+def _documented_vector(kind: str, params: tuple, n: int, rng: np.random.Generator) -> np.ndarray:
+    """One vector of ``DataSpec(kind, params, n, ...)`` drawn as documented,
+    through ``Generator`` calls only."""
+    if kind == "uniform":
+        return rng.uniform(params[0], params[1], n)
+    if kind == "near_singular":
+        return -math.log(n) + rng.uniform(-params[0], params[0], n)
+    if kind == "wide_spread":
+        lo = -params[0] / 2.0
+        v = rng.uniform(lo, lo + params[0], n)
+        if n >= 2:
+            v[0] = lo + rng.uniform(0.0, 0.05 * params[0])
+            v[1] = lo + params[0] - rng.uniform(0.0, 0.05 * params[0])
+            v = rng.permutation(v)
+        return v
+    return np.full(n, params[0])
+
+
 @pytest.mark.parametrize("kind,params", [
     ("uniform", (-20.0, 20.0)),
     ("near_singular", (0.1,)),
     ("wide_spread", (30.0,)),
     ("constant", (1.5,)),
+    ("uniform", (-0.1, 0.3)),
+    ("uniform", (0.0, 1.0)),
+    ("uniform", (-1e300, 1e300)),
+    ("near_singular", (1e-3,)),
+    ("near_singular", (2.5,)),
 ])
 def test_generate_draws_trial_i_from_philox_jumped_i(kind, params):
-    spec = DataSpec(kind, params, n=7, count=9, seed=11)
-    want = [
-        _generate_one(spec, np.random.Generator(np.random.Philox(spec.seed).jumped(i)))
-        for i in range(spec.count)
-    ]
-    assert np.array(generate(spec)).tobytes() == np.array(want).tobytes()
+    for n in (1, 3, 4, 5, 7, 10, 100):
+        for seed in (0, 11, 2**63 + 5):
+            spec = DataSpec(kind, params, n=n, count=6, seed=seed)
+            want = [
+                _documented_vector(kind, params, n, np.random.Generator(np.random.Philox(seed).jumped(i)))
+                for i in range(spec.count)
+            ]
+            assert np.array(generate(spec)).tobytes() == np.array(want).tobytes(), (n, seed)
+
+
+def _fsum_deviations(g: np.ndarray, u: float) -> np.ndarray:
+    return np.array([abs(math.fsum(row) - 1.0) / u if all(map(math.isfinite, row)) else math.inf
+                     for row in g.tolist()])
+
+
+FP16_EXACT_N = 8196  # the largest n with n * r_max <= 2^53 * 2^-24 for fp16
+
+
+def _count_fsum_calls(monkeypatch) -> list[int]:
+    calls = [0]
+    fsum = math.fsum
+
+    def counted(row):
+        calls[0] += 1
+        return fsum(row)
+
+    monkeypatch.setattr(math, "fsum", counted)
+    return calls
+
+
+def test_sum_deviations_certified_fp16_rows_are_exact(monkeypatch):
+    fmt = precision.format_params("fp16")
+    rng = np.random.default_rng(24)
+    r_max, tiny = fmt.r_max, fmt.r_min_subnormal
+    assert FP16_EXACT_N * r_max <= 2.0**53 * tiny < (FP16_EXACT_N + 1) * r_max
+    rows = {}
+    for n in (1, 2, 7, 10, 100, FP16_EXACT_N):
+        # random finite fp16 values, subnormals included
+        rows[f"random-{n}"] = chop(rng.uniform(0.5, 2.0, (6, n)) * 2.0 ** rng.integers(-26, 15, (6, n)), fmt)
+    adversarial = np.full(FP16_EXACT_N, tiny)
+    adversarial[::2] = r_max  # r_max entries next to the smallest subnormals
+    rows["adversarial"] = np.array([adversarial, adversarial[::-1], np.full(FP16_EXACT_N, r_max)])
+    rows["non-finite"] = np.array([[0.5, np.inf, 0.5], [0.5, np.nan, tiny], [np.inf, np.nan, 1.0], [0.25, 0.75, 0.0]])
+    want = {label: _fsum_deviations(g, fmt.unit_roundoff) for label, g in rows.items()}
+    calls = _count_fsum_calls(monkeypatch)
+    for label, g in rows.items():
+        assert _sum_deviations(g, fmt).tobytes() == want[label].tobytes(), label
+    assert calls == [0]  # every row took the plain binary64 sum
+    assert _sum_deviations(rows["non-finite"], fmt).tolist()[:3] == [math.inf] * 3
+    _sum_deviations(np.full((1, FP16_EXACT_N + 1), tiny), fmt)
+    assert calls == [1]  # past the bound a row is summed with fsum
+
+
+@pytest.mark.parametrize("fmt_name,row", [
+    ("bfloat16", [1.0, 2.0**-53, 2.0**-53]),
+    ("fp32", [1.0, 2.0**-53, 2.0**-53]),
+    # r_max * n <= 2^53 * r_min_subnormal (= r_min, 2^-30) holds here for
+    # n <= 4, but the row's values are multiples of 2^-49 only: with that
+    # bottom spacing the plain sum rounds, and only fsum is exact
+    ("custom:t=20,emin=-30,emax=20,subnormals=0", [2.0**20, *[2.0**-30 + 2.0**-33] * 3]),
+])
+def test_sum_deviations_uncertified_formats_take_fsum(monkeypatch, fmt_name, row):
+    fmt = precision.format_params(fmt_name)
+    assert chop(np.array(row), fmt).tolist() == row
+    left_to_right = 0.0
+    for v in row:
+        left_to_right += v
+    assert left_to_right != math.fsum(row)
+    g = np.array([row, row[::-1], [math.inf, *row[1:]]])
+    want = _fsum_deviations(g, fmt.unit_roundoff)
+    calls = _count_fsum_calls(monkeypatch)
+    assert _sum_deviations(g, fmt).tobytes() == want.tobytes()
+    assert calls == [2]  # the non-finite row is not summed
 
 
 def test_jacobian_matches_diag_minus_outer_bitwise():

@@ -284,6 +284,17 @@ class TestSummarize:
         pair = s.pairs[0]  # only trial 2 is counted for both
         assert (pair.count, pair.min, pair.max) == (1, 0.5, 0.5)
 
+    def test_means_add_left_to_right_and_medians_take_the_middle(self):
+        # added left to right, 1 + 2^-53 rounds back to 1 both times; a
+        # compensated sum (the builtin sum() from Python 3.12) gives 1.25 + 2^-52
+        basic = [1.0, 2.0**-53, 2.0**-53, 0.25]
+        s = summarize(_records(*((e, 1.0) for e in basic)))
+        stats, pair = s.per_algorithm["lse_basic"], s.pairs[0]
+        assert (stats.mean, pair.mean) == (1.25 / 4, 1.25 / 4)
+        assert stats.median == (2.0**-53 + 0.25) / 2
+        s = summarize(_records(*((e, 1.0) for e in basic[1:])))
+        assert (s.per_algorithm["lse_basic"].mean, s.per_algorithm["lse_basic"].median) == ((2.0**-52 + 0.25) / 3, 2.0**-53)
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             summarize(_records())
