@@ -1,22 +1,23 @@
 """Condition numbers, y-range and error-bound leading terms.
 
-All quantities are evaluated in binary64 from oracle-grade reference values.
-``cond_softmax`` takes the infinity norm of the softmax Jacobian
-G = diag(g) - g g^T from its closed form 2 max_i g_i (1 - g_i), in O(n) and
-within 16u (u = 2^-53) of the exact value for the oracle's g.  The bound
-formulas give the coefficient of the unit roundoff u in the first-order
-relative error bound of each algorithm.
+Every function reads one oracle ``Reference``: its validated input ``x``,
+its pivots ``k`` and its binary64 results, so nothing here validates input,
+picks a pivot or runs the oracle again.  ``bound_leading_term`` takes a
+reference of any number of rows; ``cond_lse``, ``cond_softmax`` and
+``y_range`` take the reference of one vector.  ``cond_softmax`` takes the
+infinity norm of the softmax Jacobian G = diag(g) - g g^T from its closed
+form 2 max_i g_i (1 - g_i), in O(n) and within 16u (u = 2^-53) of the exact
+value for the oracle's g.  The bound formulas give the coefficient of the
+unit roundoff u in the first-order relative error bound of each algorithm.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
-from .oracle import Reference, lse_softmax_reference
-from .precision import as_batch, per_row
+from .oracle import Reference
 
 __all__ = [
     "cond_lse",
@@ -25,31 +26,17 @@ __all__ = [
     "bound_leading_term",
 ]
 
-def _one_row(x: Sequence[float]) -> np.ndarray:
-    """``x`` as a float64 array; ``ValueError`` if it holds more than one row."""
-    a = np.asarray(x, dtype=np.float64)
-    if a.ndim > 1 and a.size > a.shape[-1]:
-        raise ValueError(f"expected one vector, got {len(a)} rows")
-    return a
+
+def _one_vector(ref: Reference) -> np.ndarray:
+    """The input vector of ``ref``; ``ValueError`` if it holds more than one row."""
+    if len(ref.x) != 1:
+        raise ValueError(f"expected one vector, got a reference of {len(ref.x)} rows")
+    return ref.x[0]
 
 
-def _one_vector(x: Sequence[float], ref: Reference | None) -> tuple[np.ndarray, Reference]:
-    """``x`` as a float64 array and its oracle reference: ``ref``, or computed
-    when not given.  ``ValueError`` if either holds more than one row."""
-    a = _one_row(x)
-    ref = ref or lse_softmax_reference(a)
-    if len(ref.y_ref) != 1:
-        raise ValueError(f"expected one vector, got a reference of {len(ref.y_ref)} rows")
-    return a, ref
-
-
-def cond_lse(x: Sequence[float], ref: Reference | None = None) -> float:
-    """Condition number of log-sum-exp in the infinity norm; +inf when y = 0.
-
-    ``x`` is one vector and ``ref`` its oracle reference, computed when not
-    given; a batch of more rows raises ``ValueError``.
-    """
-    a, ref = _one_vector(x, ref)
+def cond_lse(ref: Reference) -> float:
+    """Condition number of log-sum-exp in the infinity norm; +inf when y = 0."""
+    a = _one_vector(ref)
     y = float(ref.y_ref[0])
     xnorm = float(np.abs(a).max())
     if y == 0.0:
@@ -57,7 +44,7 @@ def cond_lse(x: Sequence[float], ref: Reference | None = None) -> float:
     return xnorm / abs(y)
 
 
-def cond_softmax(x: Sequence[float], ref: Reference | None = None) -> tuple[float, float]:
+def cond_softmax(ref: Reference) -> tuple[float, float]:
     """(exact, upper) infinity-norm condition numbers of softmax of one vector.
 
     exact = ||G||_inf * ||x||_inf / ||g||_inf; upper = n * ||x||_inf.
@@ -70,10 +57,10 @@ def cond_softmax(x: Sequence[float], ref: Reference | None = None) -> tuple[floa
     correct rounding.  Unless some g_i or the result is subnormal, the
     result is within 16u of the exact value for the oracle's g.
     """
-    a, ref = _one_vector(x, ref)
+    a = _one_vector(ref)
     g = ref.g_ref[0]
     s = float(ref.s[0])
-    k = a.argmax()  # the oracle's pivot: the first index of the maximum
+    k = ref.k[0]
     h = g * (1.0 - g)
     h[k] = g[k] * (s / (1.0 + s))
     xnorm = float(np.abs(a).max())
@@ -84,31 +71,25 @@ def cond_softmax(x: Sequence[float], ref: Reference | None = None) -> tuple[floa
     return exact, upper
 
 
-def y_range(x: Sequence[float]) -> tuple[float, float]:
-    """A-priori bracket for log-sum-exp: [x_max, x_max + log n].
-
-    ``x`` is one vector; a batch of more rows raises ``ValueError``."""
-    a = _one_row(x).ravel()
-    x_max = float(a[a.argmax()])  # the first of equal maxima: -0.0 for (-0.0, 0.0)
+def y_range(ref: Reference) -> tuple[float, float]:
+    """A-priori bracket for log-sum-exp of one vector: [x_max, x_max + log n],
+    x_max the pivot's entry, the first of equal maxima: -0.0 for (-0.0, 0.0)."""
+    a = _one_vector(ref)
+    x_max = float(a[ref.k[0]])
     return x_max, x_max + math.log(a.size)
 
 
-def bound_leading_term(
-    x: Sequence[float] | np.ndarray, y: Sequence[float] | np.ndarray
-) -> dict[str, np.ndarray]:
+def bound_leading_term(ref: Reference) -> dict[str, np.ndarray]:
     """Leading error-bound factor (coefficient of u) of every algorithm, as
-    ``{bound id: factor column}`` with one entry per row of ``x``.
-
-    ``x`` is a (rows x n) batch or one vector, a one-row batch.  ``y`` holds
-    one oracle log-sum-exp per row; any other length raises ``ValueError``.
-    The keys come in analyze's print order: the ids fed by the basic
-    log-sum-exp, then those fed by the shifted one.
+    ``{bound id: factor column}`` with one entry per row of ``ref.x``, each
+    fed the row's oracle log-sum-exp.  The keys come in analyze's print
+    order: the ids fed by the basic log-sum-exp, then those fed by the
+    shifted one.
 
     y = 0 makes both log-sum-exp factors +inf through the division: the
     shifted numerator is at least n because x_min <= x_max <= y.
     """
-    rows = as_batch(x)
-    y = per_row(y, rows)
+    rows, y = ref.x, ref.y_ref
     n = rows.shape[1]
     x_max = rows.max(axis=1)
     x_min = rows.min(axis=1)

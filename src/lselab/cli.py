@@ -93,10 +93,10 @@ def cmd_eval(args) -> int:
 def cmd_analyze(args) -> int:
     x = _input_vector(args)
     ref = lse_softmax_reference(x)
-    cf = cond_lse(x, ref)
-    cg_exact, cg_upper = cond_softmax(x, ref)
-    lo, hi = y_range(x)
-    bounds = {aid: float(f[0]) for aid, f in bound_leading_term(x, ref.y_ref).items()}
+    cf = cond_lse(ref)
+    cg_exact, cg_upper = cond_softmax(ref)
+    lo, hi = y_range(ref)
+    bounds = {aid: float(f[0]) for aid, f in bound_leading_term(ref).items()}
     if args.json:
         print(json.dumps({"cond_lse": cf, "cond_softmax_exact": cg_exact,
                           "cond_softmax_upper": cg_upper, "y_range": [lo, hi], "bounds": bounds}))

@@ -155,7 +155,6 @@ class PairStats:
 
 @dataclass(frozen=True)
 class AlgStats:
-    error_field: str
     finite_count: int
     max: float | None
     mean: float | None
@@ -307,14 +306,14 @@ def _run_batch(
         alt_shifted = softmax_alt(xs, shifted.y, ctx)
     runs = dict(basic=basic, shifted=shifted, alt_basic=alt_basic, alt_shifted=alt_shifted)
 
-    # the first index of each extreme, so a signed zero comes out as max() gives it
+    # the oracle's pivot and the first minimum: a signed zero comes out as max() gives it
     rows = np.arange(len(xs))
     columns = {
-        "xmax": xs[rows, xs.argmax(axis=1)],
+        "xmax": xs[rows, ref.k],
         "xmin": xs[rows, xs.argmin(axis=1)],
         "y_ref": y_ref,
     }
-    factors = bound_leading_term(xs, y_ref)
+    factors = bound_leading_term(ref)
     # alt_shifted may be alt_basic itself: measure each distinct softmax once
     g_errors, sum_devs = {}, {}
     for res in runs.values():
@@ -447,7 +446,6 @@ def summarize(records: Records) -> Summary:
         flags = records.flags[q.kernel]
         overflow = flags.get(FLAG_OVERFLOWED, False) | flags[FLAG_PRODUCED_INF]
         per_alg[q.stem] = AlgStats(
-            error_field=q.err,
             finite_count=len(finite),
             max=max(finite) if finite else None,
             mean=_mean(finite) if finite else None,

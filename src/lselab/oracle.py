@@ -38,11 +38,14 @@ _MIN_MEASURABLE_U = math.ldexp(1.0, 20 - 53)
 
 @dataclass(frozen=True)
 class Reference:
-    """The oracle's log-sum-exp, one entry per row, and softmax, one row
-    per vector; ``s`` holds each row's pivot-zeroed sum sum_{j != k}
-    exp(x_j - x_k), k the first index of the row's maximum, so that
-    g_k = 1/(1 + s) and 1 - g_k = s/(1 + s)."""
+    """The oracle's input and results for a (rows x n) batch: ``x`` the
+    validated batch, ``k`` each row's pivot, the first index of its maximum,
+    ``y_ref`` the log-sum-exp, one entry per row, ``g_ref`` the softmax, one
+    row per vector, and ``s`` each row's pivot-zeroed sum sum_{j != k}
+    exp(x_j - x_k), so that g_k = 1/(1 + s) and 1 - g_k = s/(1 + s)."""
 
+    x: np.ndarray
+    k: np.ndarray
     y_ref: np.ndarray
     g_ref: np.ndarray
     s: np.ndarray
@@ -76,7 +79,7 @@ def lse_softmax_reference(x) -> Reference:
         s.append(math.fsum(row))
     y = a + np.array(list(map(math.log1p, s)))
     g = np.array(w).reshape(rows.shape) / np.array(denom)[:, None]
-    return Reference(y, g, np.array(s))
+    return Reference(rows, k, y, g, np.array(s))
 
 
 def measurable(fmt: FloatFormat) -> bool:

@@ -310,7 +310,7 @@ class ArithmeticContext:
 
     Every operation is computed in binary64 and its result rounded to
     ``fmt`` (round-to-nearest, ties-to-even), as :func:`chop` rounds.
-    ``+ - * /`` are IEEE numpy operations, rounded by ``chop``.  ``exp``,
+    ``+ - /`` are IEEE numpy operations, rounded by ``chop``.  ``exp``,
     ``log`` and ``log1p`` give ``chop`` of the C library's value, bit for
     bit, and compute it with the tie certificate of ``fmt.binade_table``:
 
@@ -369,9 +369,6 @@ class ArithmeticContext:
 
     def sub(self, a, b):
         return self._binop(np.subtract, a, b)
-
-    def mul(self, a, b):
-        return self._binop(np.multiply, a, b)
 
     def div(self, a, b):
         return self._binop(np.divide, a, b)

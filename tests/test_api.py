@@ -87,6 +87,50 @@ def test_every_export_has_a_caller():
     assert _unreferenced_exports() == list(KEPT_UNCALLED)
 
 
+def _unread_members():
+    """``module.Class.member`` for each method, property and dataclass field
+    defined in a class of the package that no code in the package reads.  A
+    read is an attribute load (``obj.member``) or a string constant passed
+    to ``getattr``; dunder methods are called by Python itself."""
+    members, reads = [], set()
+    for path in sorted(Path(lselab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                for stmt in node.body:
+                    if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("__"):
+                        members.append(f"{path.stem}.{node.name}.{stmt.name}")
+                    elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                        members.append(f"{path.stem}.{node.name}.{stmt.target.id}")
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr":
+                reads.update(a.value for a in node.args[1:2] if isinstance(a, ast.Constant))
+    return [qual for qual in members if qual.rsplit(".", 1)[1] not in reads]
+
+
+def test_every_member_is_read():
+    assert _unread_members() == []
+
+
+def _traced_names():
+    """The (module, function) pairs of ``perfbench/spans.py``'s ``WRAPPED``,
+    read from its source without importing perfbench."""
+    path = Path(lselab.__file__).resolve().parents[2] / "perfbench" / "spans.py"
+    for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(stmt, ast.Assign) and getattr(stmt.targets[0], "id", None) == "WRAPPED":
+            return [pair for pairs in ast.literal_eval(stmt.value).values() for pair in pairs]
+    raise AssertionError(f"no WRAPPED table in {path}")
+
+
+def test_every_traced_name_is_callable():
+    # the tracer wraps these by name: a rename must rename them there too
+    names = _traced_names()
+    assert len(names) > 10
+    missing = [f"{module}.{name}" for module, name in names
+               if not callable(getattr(importlib.import_module(f"lselab.{module}"), name, None))]
+    assert missing == []
+
+
 def test_import_pulls_in_no_heavy_stdlib_modules():
     """``statistics`` imports ``fractions`` and ``decimal``, about 4 ms of
     ``import lselab`` that nothing in the package needs."""

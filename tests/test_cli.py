@@ -8,7 +8,7 @@ import pytest
 import lselab.analysis
 import lselab.cli
 from lselab.cli import build_parser, main
-from lselab.oracle import lse_softmax_reference
+from lselab.oracle import Reference, lse_softmax_reference
 
 
 class TestFormats:
@@ -296,8 +296,7 @@ def test_analyze_runs_oracle_once(monkeypatch, capsys):
         calls.append(len(x))
         return lse_softmax_reference(x)
 
-    for module in (lselab.cli, lselab.analysis):
-        monkeypatch.setattr(module, "lse_softmax_reference", counting)
+    monkeypatch.setattr(lselab.cli, "lse_softmax_reference", counting)
     for argv in (["analyze", "--x", "1,-1,3", "--json"], ["analyze", "--x", "1,-1,3"]):
         calls.clear()
         assert main(argv) == 0
@@ -319,14 +318,15 @@ def test_analyze_computes_bounds_once(monkeypatch, capsys):
 
 
 def test_single_vector_steps_get_one_array(monkeypatch, capsys):
-    # eval and analyze parse --x once into a float64 array and hand every
-    # later step that array, never a list it has to convert again
+    # eval and analyze parse --x once into a float64 array; analyze hands it
+    # to the oracle once and every analysis step the one Reference it returns
     received = []
 
     def recording(name, func):
-        def wrapper(x, *args, **kwargs):
-            received.append((name, type(x)))
-            return func(x, *args, **kwargs)
+        def wrapper(arg, *args, **kwargs):
+            out = func(arg, *args, **kwargs)
+            received.append((name, arg, out))
+            return out
         return wrapper
 
     for name in ("lse_softmax_reference", "cond_lse", "cond_softmax", "y_range",
@@ -334,8 +334,11 @@ def test_single_vector_steps_get_one_array(monkeypatch, capsys):
         monkeypatch.setattr(lselab.cli, name, recording(name, getattr(lselab.cli, name)))
     assert main(["analyze", "--x", "1,-1,3", "--json"]) == 0
     assert main(["eval", "--format", "fp16", "--x", "1,-1,3", "--json"]) == 0
-    assert [name for name, _ in received] == [
+    assert [name for name, _, _ in received] == [
         "lse_softmax_reference", "cond_lse", "cond_softmax", "y_range",
         "bound_leading_term", "chop",
     ]
-    assert all(t is np.ndarray for _, t in received), received
+    (_, x, ref), *analysis, (_, x16, _) = received
+    assert type(x) is np.ndarray and type(x16) is np.ndarray
+    assert isinstance(ref, Reference)
+    assert all(arg is ref for _, arg, _ in analysis), analysis

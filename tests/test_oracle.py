@@ -77,10 +77,27 @@ class TestReference:
             assert abs(math.fsum(ref.g_ref[0]) - 1.0) <= n * 2.0**-50
 
     def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            lse_softmax_reference([])
-        with pytest.raises(ValueError):
-            lse_softmax_reference([math.nan])
+        # as the kernels do: an empty vector or row, or a non-finite entry
+        for x in ([], [1.0, math.inf], [math.nan], [[]]):
+            with pytest.raises(ValueError, match="input vector"):
+                lse_softmax_reference(x)
+
+    @pytest.mark.parametrize("x,k", [
+        pytest.param([4.0, 4.0], [0], id="tie"),
+        pytest.param([-0.0, 0.0], [0], id="signed-zeros"),
+        pytest.param([-1.0, 0.0, -0.0], [1], id="zero-then-minus-zero"),
+        pytest.param([[1.0, 3.0, 3.0], [-0.0, 0.0, -1.0], [-5.0, -2.0, -7.0]], [1, 0, 1],
+                     id="batch"),
+    ])
+    def test_pivot_is_the_first_index_of_each_row_maximum(self, x, k):
+        assert lse_softmax_reference(x).k.tolist() == k
+
+    def test_x_is_the_validated_batch(self):
+        xs = np.arange(6.0).reshape(2, 3)
+        ref = lse_softmax_reference(xs)
+        assert ref.x.shape == (2, 3) and np.shares_memory(ref.x, xs)
+        ref = lse_softmax_reference([1, 2, 3])
+        assert ref.x.dtype == np.float64 and ref.x.tolist() == [[1.0, 2.0, 3.0]]
 
 
 FP16 = format_params("fp16")

@@ -248,10 +248,6 @@ class TestArithmeticContext:
         ctx = ArithmeticContext(fp16)
         assert ctx.add(1.0, 2.0**-12) == 1.0
 
-    def test_multiplication_overflow(self, fp16):
-        ctx = ArithmeticContext(fp16)
-        assert ctx.mul(3.0e4, 4.0) == math.inf
-
     def test_exact_division(self, fp16):
         for ctx in (ArithmeticContext(fp16), ArithmeticContext(format_params("fp64"))):
             assert ctx.div(1.0, 1.0) == 1.0
@@ -316,7 +312,6 @@ class TestArithmeticContext:
             for op, exact in (
                 (ctx.add, a + b),
                 (ctx.sub, a - b),
-                (ctx.mul, a * b),
             ):
                 if exact == 0.0 or abs(exact) < fp16.r_min or abs(exact) > fp16.r_max:
                     continue
@@ -350,20 +345,17 @@ class TestArithmeticContext:
         # a: normal values in the lowest 20 binades, or subnormals
         m_a = rng.integers(1, 2**t, n)
         a = sign[0] * np.ldexp(m_a, fmt.emin - t + 1 + rng.integers(0, 21, n) * (m_a >= 2 ** (t - 1)))
-        # b in [2^-80, 1) for products, [1, 2^80) for quotients: results from
-        # far below the smallest subnormal up to about 2^(emin + 20)
+        # b in [1, 2^80): quotients from far below the smallest subnormal up
+        # to about 2^(emin + 20)
         m_b = rng.integers(2 ** (t - 1), 2**t, n)
-        b_mul = sign[1] * np.ldexp(m_b, rng.integers(-80, 0, n) - t + 1)
-        b_div = sign[1] * np.ldexp(m_b, rng.integers(0, 80, n) - t + 1)
-        assert (chop(a, fmt) == a).all() and (chop(b_mul, fmt) == b_mul).all()
-        ctx = ArithmeticContext(fmt)
-        for op, b, exact_op in ((ctx.mul, b_mul, operator.mul), (ctx.div, b_div, operator.truediv)):
-            got = op(a, b).tolist()
-            for ai, bi, gi in zip(a.tolist(), b.tolist(), got):
-                want = exact.round_exact(exact_op(Fraction(ai), Fraction(bi)), model)
-                assert _same(gi, want), (op.__name__, ai, bi, gi, want)
+        b = sign[1] * np.ldexp(m_b, rng.integers(0, 80, n) - t + 1)
+        assert (chop(a, fmt) == a).all() and (chop(b, fmt) == b).all()
+        got = ArithmeticContext(fmt).div(a, b).tolist()
+        for ai, bi, gi in zip(a.tolist(), b.tolist(), got):
+            want = exact.round_exact(Fraction(ai) / Fraction(bi), model)
+            assert _same(gi, want), (ai, bi, gi, want)
         # the sample reaches below the grid, onto it and above 2^emin
-        q = np.abs(a * b_mul)
+        q = np.abs(a / b)
         assert (q < fmt.r_min_subnormal / 2).any() and (q > fmt.r_min).any()
 
     def test_fp64_simulation_matches_native(self):
@@ -381,7 +373,7 @@ class TestArithmeticContext:
         ]
         for a, b in pairs:
             a, b = float(a), float(b)
-            ops = [(sim.add, a + b), (sim.sub, a - b), (sim.mul, a * b)]
+            ops = [(sim.add, a + b), (sim.sub, a - b)]
             if b != 0.0:
                 ops.append((sim.div, a / b))
             for op, native in ops:
@@ -401,7 +393,6 @@ class TestArithmeticContext:
         ops = (
             (ctx.add, operator.add),
             (ctx.sub, operator.sub),
-            (ctx.mul, operator.mul),
             (ctx.div, operator.truediv),
         )
 
