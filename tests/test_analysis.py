@@ -273,6 +273,12 @@ class TestBoundLeadingTerm:
                         "alt_shifted_softmax"):
                 assert factors[aid][0] >= 1.0
 
+    @pytest.mark.parametrize("x", [[], [1.0, math.inf], [math.nan], [[]]])
+    def test_bad_input_rejected_like_the_kernels(self, x):
+        # the bound reads its rows from the Reference, which validates them
+        with pytest.raises(ValueError, match="input vector"):
+            bound_leading_term(lse_softmax_reference(x))
+
     def test_batch_matches_each_row(self):
         rng = np.random.default_rng(5)
         xs = rng.uniform(-30.0, 30.0, (7, 6))
