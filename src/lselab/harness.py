@@ -243,6 +243,17 @@ def _bad_field(path, lineno: int, line: str) -> ValueError:
     return ValueError(f"{path}: {tok!r} at line {lineno}, field {col} is not a finite number")
 
 
+def _not_utf8(path, err: UnicodeDecodeError) -> ValueError:
+    """The error for a file that is not UTF-8, at the file offset of its
+    first such byte (``err`` counts from the start of a read buffer)."""
+    with open(path, "rb") as fh:
+        try:
+            fh.read().decode("utf-8")
+        except UnicodeDecodeError as whole:
+            err = whole
+    return ValueError(f"{path}: not UTF-8 at byte offset {err.start} ({err.reason})")
+
+
 def ingest_csv(path: str | os.PathLike) -> list[list[float]]:
     """Read one comma-separated vector per line; empty lines are skipped.
 
@@ -250,18 +261,21 @@ def ingest_csv(path: str | os.PathLike) -> list[list[float]]:
     """
     vectors: list[list[float]] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = list(map(float, line.split(",")))
-                finite = all(map(math.isfinite, row))
-            except ValueError:
-                finite = False
-            if not finite:
-                raise _bad_field(path, lineno, line)
-            vectors.append(row)
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    row = list(map(float, line.split(",")))
+                    finite = all(map(math.isfinite, row))
+                except ValueError:
+                    finite = False
+                if not finite:
+                    raise _bad_field(path, lineno, line)
+                vectors.append(row)
+        except UnicodeDecodeError as err:
+            raise _not_utf8(path, err) from None
     if not vectors:
         raise ValueError(f"{path}: no input vectors")
     return vectors
@@ -270,21 +284,64 @@ def ingest_csv(path: str | os.PathLike) -> list[list[float]]:
 def _sum_deviations(g: np.ndarray, fmt: FloatFormat) -> np.ndarray:
     """|sum(g) - 1| / u per row, with an exact sum; +inf for a non-finite row.
 
-    Every entry of ``g`` is a ``fmt`` value: a multiple of q = 2^(emin - t + 1),
-    the bottom binade's spacing, and at most r_max in magnitude.  If
-    n * r_max <= 2^53 * q, every partial sum of a row, in any order, is a
-    multiple of q below 2^53 q, hence a binary64 number, and the plain sum is
-    exact (fp16 up to n = 8196).  Other formats take ``math.fsum`` per row.
+    Every entry of ``g`` is a ``fmt`` value with t significant bits.  One
+    whose binary64 biased exponent is b lies in [2^(b-1023), 2^(b-1022)) and
+    is a multiple of 2^(b-1022-t): the format's spacing there, or below
+    2^emin a power-of-two multiple of it.  So a set of entries that are all
+    multiples of some q and all below 2^(53-m) q, where 2^m >= n, sums to a
+    multiple of q below 2^53 q in every partial sum, in any order: each
+    partial sum is a binary64 number, and the plain sum is exact.
+
+    * *One band.*  If n * r_max <= 2^53 * q, q = 2^(emin - t + 1) the bottom
+      binade's spacing, that holds for every row: its plain sum is exact
+      (fp16 up to n = 8196).
+    * *Bands.*  Otherwise the biased exponents are grouped into bands of
+      W = 53 - t - ceil(log2 n) consecutive values, counted from the lowest
+      exponent of a nonzero finite entry of the batch.  An entry of a band
+      whose lowest exponent is b0 is a multiple of q = 2^(b0-1022-t) and
+      lies below 2^(b0+W-1022) = 2^(W+t) q = 2^(53-ceil(log2 n)) q, so each
+      (row, band) total is exact; one ``np.bincount`` computes them all.  A
+      row's correctly rounded sum is ``math.fsum`` of its band totals, equal
+      to ``math.fsum`` of the row, and with a single band the plain sum is
+      that total.  Zeros weigh nothing and go to the lowest band, so they
+      do not widen the band range.
+    * If W < 1 (t = 26 and n > 2^26, or binary64) every row takes
+      ``math.fsum``.
     """
-    n = g.shape[1]
-    if n * fmt.r_max <= math.ldexp(1.0, fmt.emin - fmt.precision_bits + 1 + 53):
+    n, t = g.shape[1], fmt.precision_bits
+    width = 53 - t - (n - 1).bit_length()
+    if n * fmt.r_max <= math.ldexp(1.0, fmt.emin - t + 1 + 53):
         sums = np.add.reduce(g, axis=1)
-        sums[~np.isfinite(sums)] = math.inf
-    else:
+    elif width < 1:
         finite = np.isfinite(g).all(axis=1)
         sums = np.array([math.fsum(row) if ok else math.inf
                          for row, ok in zip(g.tolist(), finite.tolist())])
+    else:
+        sums = _band_sums(g, width)
+    sums[~np.isfinite(sums)] = math.inf
     return np.abs(sums - 1.0) / fmt.unit_roundoff
+
+
+def _band_sums(g: np.ndarray, width: int) -> np.ndarray:
+    """Each row's exact sum from its totals over bands of ``width`` biased
+    exponents (see ``_sum_deviations``); inf or NaN for a non-finite row."""
+    b = g.view(np.int64) >> 52
+    b &= 0x7FF
+    hi = int(b.max())
+    if hi == 0x7FF:  # +-inf or NaN: their rows come out non-finite, so any band will do
+        b[b == 0x7FF] = 0
+        hi = int(b.max())
+    lo = int((b - 1).view(np.uint64).min()) + 1  # zeros wrap to the top: the lowest nonzero b
+    if hi - lo < width:
+        return np.add.reduce(g, axis=1)
+    bands, rows = (hi - lo) // width + 1, len(g)
+    np.maximum(b, lo, out=b)
+    b -= lo
+    b //= width
+    if rows > 1:
+        b += np.arange(0, rows * bands, bands)[:, None]
+    totals = np.bincount(b.ravel(), weights=g.ravel(), minlength=rows * bands)
+    return np.array(list(map(math.fsum, totals.reshape(rows, bands).tolist())))
 
 
 def _run_batch(

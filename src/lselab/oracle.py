@@ -6,8 +6,14 @@ shift x_j - x_k is one binary64 subtraction, off by up to half an ulp of
 the difference, so g_j carries up to 2^-45 relative error for
 |x_j - x_k| in [256, 512), and up to 2^-44 beyond.  That still leaves, only
 just, the 2^20 precision headroom over fp32 (u = 2^-24) that ``measurable``
-requires, so scaled errors measured against it are meaningful for fp16,
-bfloat16 and fp32 -- but not for fp64 itself.
+requires, so scaled errors of g measured against it are meaningful for
+fp16, bfloat16 and fp32 -- but not for fp64 itself.
+
+For y the headroom holds only away from y = 0.  y = a + log1p(s) carries
+an absolute error of about 2^-53 (|a| + log1p(s)), a relative one that
+grows like 1/|y|: near-singular fp32 suites (n = 1000, |y| down to 4e-10)
+measured oracle errors up to 12.5 u|y|.  The fp16 and bfloat16 grids keep
+|y| far enough from 0 (below 3e-9 u|y| on such suites).
 
 ``lse_softmax_reference`` takes a (rows x n) batch, one vector being a
 one-row batch; the experiment engine calls it once per batch of
@@ -83,6 +89,8 @@ def lse_softmax_reference(x) -> Reference:
 
 
 def measurable(fmt: FloatFormat) -> bool:
+    """Whether the oracle has 2^20 precision headroom over ``fmt``: u >= 2^-33.
+    That covers g, and y only away from y = 0 (see the module docstring)."""
     return fmt.unit_roundoff >= _MIN_MEASURABLE_U
 
 

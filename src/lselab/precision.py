@@ -9,11 +9,13 @@ left-to-right ``sum`` included, so no other module rounds.
 ``chop`` rounds a whole float64 array, ``round_to_format`` one value, bit for
 bit alike, as Higham & Pranesh's ``chop`` rounds ("Simulating low precision
 floating-point arithmetic", SIAM J. Sci. Comput., 2019).  There is one table
-path for every binade of every format: one binary64 addition,
-copysign((x + C) - C, x), with the constant C of x's binade, and a test for
-overflow.  In a binade whose spacing exceeds 2^971 (possible when
-emax > 970 + t), x is first scaled by the binade's P, a power of two, and
-scaled back after.  ``FloatFormat.binade_table`` holds C and P for every
+path for every binade of every format: one lookup of the constant C of x's
+binade, copysign((x + C) - C, x), and a scaling by 2^(1023 - emax) and
+back, which turns every result above r_max, and only those, into +-inf
+without a test.  In a binade whose spacing exceeds 2^971 (possible
+when emax > 970 + t), x is first scaled by the binade's P, a power of two,
+and scaled back after; only a format with such a binade reads P, and no
+named format has one.  ``FloatFormat.binade_table`` holds C and P for every
 binade and derives them; for binary64 every C is 0.0, the identity.
 
 exp, log and log1p round the C library's value, as ``chop`` would.
@@ -156,10 +158,10 @@ class FloatFormat:
         P = 1 wherever 1.5 * 2^(s + 52) is a finite double (s <= 971); a
         format with emax <= 970 + t, and emin <= 971 if it flushes, has it in
         every binade, and there multiplying and dividing by P change
-        nothing.  On this grid the tie
-        r_max + ulp/2 rounds above r_max, and the caller turns every result
-        above r_max into +-inf.  One entry serves all of b = 0 because the
-        grid near zero is no finer than 2^-1022.
+        nothing, so the rounding leaves them out (``prescaled``).  On this
+        grid the tie r_max + ulp/2 rounds above r_max, and the caller turns
+        every result above r_max into +-inf.  One entry serves all of b = 0
+        because the grid near zero is no finer than 2^-1022.
 
         *T.* T = ulp/2 - 2^(e-40), ulp the format's spacing in the binade.
         A value v of the binade whose rounding r lies closer than T lies
@@ -188,6 +190,13 @@ class FloatFormat:
             above = e > emax + 1
             c[above], threshold[above], p[above] = 0.0, np.inf, 1.0
         return c, threshold, p
+
+    @functools.cached_property
+    def prescaled(self) -> bool:
+        """Whether some binade of ``binade_table`` has P < 1: false exactly
+        when emax <= 970 + t, and emin <= 971 if the format flushes, which
+        every named format meets.  Without it a rounding is (x + C) - C."""
+        return bool((self.binade_table[2] != 1.0).any())
 
     @functools.cached_property
     def frexp_constants(self) -> tuple[tuple[float, float], ...]:
@@ -261,16 +270,31 @@ def _chop(x, fmt: FloatFormat):
 def _round_by_table(x: np.ndarray, field: np.ndarray, fmt: FloatFormat) -> np.ndarray:
     """((x * P + C) - C) / P with the P and C of each entry's binade, read at
     ``field = x.view(np.int64) >> 52`` in ``fmt.binade_table``: x rounded,
-    before ``_saturate``; a zero result may carry the wrong sign."""
+    before ``_saturate``; a zero result may carry the wrong sign.  Where
+    every P is 1 (not ``fmt.prescaled``) it is (x + C) - C, the same bits
+    with one table lookup."""
     c, _, p = fmt.binade_table
-    c, p = c.take(field), p.take(field)
+    c = c.take(field)
+    if not fmt.prescaled:
+        return (x + c) - c
+    p = p.take(field)
     return ((x * p + c) - c) / p
 
 
 def _saturate(r, x, fmt: FloatFormat) -> np.ndarray:
     """r with +-inf where |r| > r_max, and the sign of x: the sign a zero
-    r = (x + C) - C lacks.  An array, 0-d for scalars."""
-    r = np.where(np.abs(r) > fmt.r_max, np.inf, r)
+    r = (x + C) - C lacks.  An array, 0-d for scalars; r is overwritten.
+
+    There is no test: r is scaled by S = 2^(1023 - emax) and back.  A
+    rounded r is a grid value, |r| <= r_max = (2 - 2^(1-t)) 2^emax, or
+    |r| >= 2^(emax+1) (the top binade rounded up, or a value above it left
+    as it is), or +-inf or NaN.  The first kind scales to at most
+    (2 - 2^(1-t)) 2^1023, a double, exactly and back; the second to at
+    least 2^1024, which overflows to +-inf; the third passes."""
+    r = np.asarray(r)  # a 0-d array, not a scalar, for the in-place steps
+    scale = math.ldexp(1.0, 1023 - fmt.emax)
+    r *= scale
+    r /= scale
     return np.copysign(r, x, out=r)
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import scalar_reference as ref
 from conftest import raised, same_bits, same_result, softmax_jacobian
 from lselab import precision
-from lselab.harness import DataSpec, _sum_deviations, generate
+from lselab.harness import DataSpec, _band_sums, _sum_deviations, generate
 from lselab.kernels import lse_softmax_basic, lse_softmax_shifted, softmax_alt
 from lselab.oracle import lse_softmax_reference
 from lselab.precision import (
@@ -492,11 +492,12 @@ FP16_EXACT_N = 8196  # the largest n with n * r_max <= 2^53 * 2^-24 for fp16
 
 
 def _count_fsum_calls(monkeypatch) -> list[int]:
-    calls = [0]
+    """The number of terms of each ``math.fsum`` call from now on."""
+    calls = []
     fsum = math.fsum
 
     def counted(row):
-        calls[0] += 1
+        calls.append(len(row))
         return fsum(row)
 
     monkeypatch.setattr(math, "fsum", counted)
@@ -517,13 +518,18 @@ def test_sum_deviations_certified_fp16_rows_are_exact(monkeypatch):
     rows["adversarial"] = np.array([adversarial, adversarial[::-1], np.full(FP16_EXACT_N, r_max)])
     rows["non-finite"] = np.array([[0.5, np.inf, 0.5], [0.5, np.nan, tiny], [np.inf, np.nan, 1.0], [0.25, 0.75, 0.0]])
     want = {label: _fsum_deviations(g, fmt.unit_roundoff) for label, g in rows.items()}
+    wide = np.full((1, FP16_EXACT_N + 1), tiny)
+    wide[0, ::2] = r_max  # 2^-24 and r_max lie 39 binades apart: two bands of W = 28
+    want_wide = _fsum_deviations(wide, fmt.unit_roundoff)
     calls = _count_fsum_calls(monkeypatch)
     for label, g in rows.items():
         assert _sum_deviations(g, fmt).tobytes() == want[label].tobytes(), label
-    assert calls == [0]  # every row took the plain binary64 sum
+    assert calls == []  # every row took the plain binary64 sum
     assert _sum_deviations(rows["non-finite"], fmt).tolist()[:3] == [math.inf] * 3
     _sum_deviations(np.full((1, FP16_EXACT_N + 1), tiny), fmt)
-    assert calls == [1]  # past the bound a row is summed with fsum
+    assert calls == []  # past the bound, a row within one band still takes the plain sum
+    assert _sum_deviations(wide, fmt).tobytes() == want_wide.tobytes()
+    assert calls == [2]  # one fsum, over the row's two band totals
 
 
 @pytest.mark.parametrize("fmt_name,row", [
@@ -545,7 +551,104 @@ def test_sum_deviations_uncertified_formats_take_fsum(monkeypatch, fmt_name, row
     want = _fsum_deviations(g, fmt.unit_roundoff)
     calls = _count_fsum_calls(monkeypatch)
     assert _sum_deviations(g, fmt).tobytes() == want.tobytes()
-    assert calls == [2]  # the non-finite row is not summed
+    # 1 (or 2^20) and 2^-53 (or 2^-30) lie in two bands: one fsum per row over
+    # its two band totals; the non-finite row's total is inf, and so its sum
+    assert calls == [2, 2, 2]
+
+
+BAND_FORMATS = ["bfloat16", "fp32", T4 + "1", T4 + "0", "custom:t=26,emin=-1000,emax=1023,subnormals=0"]
+BAND_NS = (1, 2, 3, 4, 5, 8, 9, 64, 65, 1024, 1025)  # both sides of powers of two
+
+
+def _band_width(fmt, n: int) -> int:
+    """W = 53 - t - ceil(log2 n), the widest band whose sums are exact."""
+    return 53 - fmt.precision_bits - (n - 1).bit_length()
+
+
+def _binade_top(fmt, e: int) -> float:
+    """The largest ``fmt`` value of the binade [2^e, 2^(e+1))."""
+    return math.ldexp(2.0 - math.ldexp(1.0, 1 - fmt.precision_bits), e)
+
+
+def _band_edge_row(fmt, n: int, e0: int, w: int) -> list[float]:
+    """n ``fmt`` values in three bands of w binades from [2^e0, 2^(e0+1)):
+    the lowest and the highest binade of the first two bands and the lowest
+    of the third, then the largest value of the first band's top binade."""
+    ulp = math.ldexp(1.0, e0 - fmt.precision_bits + 1)
+    edges = [math.ldexp(1.0, e0) + ulp, _binade_top(fmt, e0 + w - 1), math.ldexp(1.0, e0 + w),
+             _binade_top(fmt, e0 + 2 * w - 1), math.ldexp(1.0, e0 + 2 * w)]
+    return (edges + [_binade_top(fmt, e0 + w - 1)] * n)[:n]
+
+
+def _past_band_row(fmt, n: int, e0: int, w: int) -> list[float]:
+    """2^(e0-w-2), then 3n/4 values of the binade two above a band of w
+    binades from [2^e0, 2^(e0+1)), then the band's bottom value with its
+    last bit set.  The first value anchors the bands so that a band two
+    binades wider would hold all the others, and for n a power of two its
+    total, added in order, would drop that last bit at each addition."""
+    ulp = math.ldexp(1.0, e0 - fmt.precision_bits + 1)
+    big = n - n // 4
+    return ([math.ldexp(1.0, e0 - w - 2)] + [_binade_top(fmt, e0 + w + 1)] * big
+            + [math.ldexp(1.0, e0) + ulp] * n)[:n]
+
+
+def _band_batches(fmt, n: int, rng) -> list[np.ndarray]:
+    """Batches of ``fmt`` values whose exact row sums bands must get right:
+    rows on the edges of bands of W binades at the bottom and the top of the
+    format and summing to about 1 (where |sum - 1| / u shows a rounded sum),
+    zeros, random values from every binade and non-finite rows."""
+    t, emin = fmt.precision_bits, fmt.emin
+    emax = min(fmt.emax, 127)  # so that n entries and |sum - 1| / u stay finite
+    w = max(1, min(_band_width(fmt, n), (emax - emin) // 2 - 1))
+    k = (n - 1).bit_length()
+    edge = [_band_edge_row(fmt, n, e0, w) for e0 in (emin, emin + 1, emax - 2 * w, max(emin, -2 * w))]
+    past = sorted({emin + w + 2, max(emin + w + 2, -w - 1 - k)})  # at the bottom, and summing to about 1
+    edge += [_past_band_row(fmt, n, e0, w) for e0 in past if e0 + w + 1 <= emax]
+    small = [math.ldexp(1.0, emin)] * n
+    small[::2] = [0.0] * len(small[::2])  # zeros among small entries
+    random = chop(rng.uniform(0.5, 2.0, (4, n)) * np.exp2(rng.integers(emin - t - 2, emax + 1, (4, n))), fmt)
+    non_finite = [[math.inf] * n, [math.nan] * n, [1.0, math.inf, math.nan, *[1.0] * n][:n]]
+    return [
+        np.array([row]) for row in edge
+    ] + [
+        np.array(edge + [small, [0.0] * n]),
+        np.array([[0.0] * n]),
+        random,
+        np.array([*non_finite, edge[0], small]),
+    ]
+
+
+@pytest.mark.parametrize("name", BAND_FORMATS)
+def test_sum_deviations_band_sums_equal_fsum(name):
+    fmt = format_params(name)
+    rng = np.random.default_rng(26)
+    rounds = 0
+    for n in BAND_NS:
+        for g in _band_batches(fmt, n, rng):
+            want = _fsum_deviations(g, fmt.unit_roundoff)
+            assert _sum_deviations(g, fmt).tobytes() == want.tobytes(), (n, g.tolist())
+            # every narrower band is exact too: t = 4 takes bands only this way
+            sums = np.array([math.fsum(row) for row in g.tolist()])
+            for w in range(1, _band_width(fmt, n) + 1):
+                assert same_bits(_band_sums(g, w), sums).all(), (n, w, g.tolist())
+            rounds += int(((np.add.reduce(g, axis=1) != sums) & np.isfinite(sums)).sum())
+    if fmt.precision_bits > 4:
+        assert rounds > 0  # the plain sum rounds on some of these rows
+
+
+@pytest.mark.parametrize("name", ["bfloat16", "fp32"])
+def test_sum_deviations_band_count(monkeypatch, name):
+    fmt = format_params(name)
+    n = 9
+    w = _band_width(fmt, n)
+    three = np.array([_band_edge_row(fmt, n, -100, w)])
+    one = np.array([[math.ldexp(1.0, -100)] * (n - 1) + [math.ldexp(1.5, -101 + w)]])  # w binades: one band
+    want_three, want_one = (_fsum_deviations(g, fmt.unit_roundoff) for g in (three, one))
+    calls = _count_fsum_calls(monkeypatch)
+    assert _sum_deviations(three, fmt).tobytes() == want_three.tobytes()
+    assert calls == [3]  # one fsum, over three band totals
+    assert _sum_deviations(one, fmt).tobytes() == want_one.tobytes()
+    assert calls == [3]  # one band: the plain sum
 
 
 def test_jacobian_matches_diag_minus_outer_bitwise():

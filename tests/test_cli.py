@@ -205,6 +205,21 @@ def test_bad_input_exits_2_with_one_line(argv, csv_text, message, tmp_path, monk
     assert not list(tmp_path.glob("run*"))
 
 
+@pytest.mark.parametrize("offset", [0, 8, 20_000])  # 20,000 lies past the first read buffer
+def test_csv_not_utf8_names_file_and_byte(offset, tmp_path, capsys):
+    path = tmp_path / "in.csv"
+    text = b"1.0,2.0\n" * (offset // 8)
+    path.write_bytes(text + b"\xff3.0,4.0\n")
+    assert main(["experiment", "--csv", str(path), "--format", "fp16",
+                 "--out", str(tmp_path / "run")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: {path}: not UTF-8 at byte offset {offset} (invalid start byte)"
+    ]
+    assert not list(tmp_path.glob("run*"))
+
+
 def _outcome(run, argv, capsys):
     """(stdout, stderr, exit code) of one call; the exit code is the return
     value or ``SystemExit.code``."""

@@ -140,6 +140,7 @@ def test_binade_table_columns(name):
     # one entry per biased exponent; a negative double's index b - 2048 wraps to b
     assert c.shape == threshold.shape == p.shape == (2048,)
     top = fmt.emax + 1023  # biased exponent of the top binade [2^emax, 2^(emax+1))
+    assert fmt.prescaled == (p != 1.0).any()  # whether the rounding reads P
     if name == "fp64":  # the identity, and the C library for every finite value
         assert (c == 0.0).all() and (threshold == -math.inf).all() and (p == 1.0).all()
         return
@@ -159,6 +160,46 @@ def test_binade_table_columns(name):
     # above the top binade everything overflows, and +-inf and NaN pass
     assert (c[top + 1:] == 0.0).all() and (threshold[top + 1:] == math.inf).all()
     assert (p[top + 1:] == 1.0).all()
+
+
+def _overflow_mixture(fmt) -> np.ndarray:
+    """NaN next to the overflow tie r_max + ulp/2 and its neighbours, +-inf,
+    negative values that round to -0.0, ordinary values, and the logarithms
+    of the tie's neighbours, whose exp lands on either side of the tie; in
+    that order, both signs."""
+    t, emax = fmt.precision_bits, fmt.emax
+    tie = fmt.r_max + math.ldexp(1.0, emax - t)  # +inf for binary64
+    near = [math.nextafter(tie, 0.0), tie, math.nextafter(tie, math.inf)]
+    logs = [math.log(v) for v in (fmt.r_max, math.nextafter(tie, 0.0)) if math.isfinite(v)]
+    logs = [v + k * math.ulp(v) for v in logs for k in range(-3, 4)]
+    x = np.array([
+        math.nan, *near, math.nan, fmt.r_max, math.inf, math.nan,
+        -fmt.r_min_subnormal / 2, -fmt.r_min_subnormal / 4, -fmt.r_min / 2,
+        1.0, 0.1, 3.75, 1e-3, *logs,
+    ])
+    return _both_signs(x)
+
+
+@pytest.mark.parametrize("name", ["fp16", "bfloat16", "fp32", "fp64", *PRESCALED])
+def test_overflow_pass_sees_past_nan(name):
+    # chop has no overflow test to skip: a NaN in the same call must not
+    # hide an overflowing entry, as it would from a max()-based skip
+    fmt = format_params(name)
+    x = _overflow_mixture(fmt)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _round_by_scaling(x, fmt)
+    got = chop(x, fmt)
+    same = same_bits(got, want)
+    assert same.all(), list(zip(x[~same], got[~same], want[~same]))
+    assert (np.signbit(got) & (got == 0.0)).any()  # some negative value rounded to -0.0
+    ctx = ArithmeticContext(fmt)
+    for fast, ieee in ((math.exp, np.exp), (math.log, np.log), (math.log1p, np.log1p)):
+        want = np.array([round_to_format(_math_or_ieee(fast, ieee, v), fmt) for v in x.tolist()])
+        got = getattr(ctx, fast.__name__)(x)
+        same = same_bits(got, want)
+        assert same.all(), (fast.__name__, list(zip(x[~same], got[~same], want[~same])))
+    if name != "fp64":  # whose exp never lands on r_max
+        assert (ctx.exp(x) == math.inf).any() and (ctx.exp(x) == fmt.r_max).any()
 
 
 def _math_or_ieee(fast, ieee, v: float) -> float:
