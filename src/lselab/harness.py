@@ -281,6 +281,9 @@ def ingest_csv(path: str | os.PathLike) -> list[list[float]]:
     return vectors
 
 
+# batches with fewer entries sum per row: banding costs about 10 us whatever the batch
+_BAND_MIN_SIZE = 512
+
 def _sum_deviations(g: np.ndarray, fmt: FloatFormat) -> np.ndarray:
     """|sum(g) - 1| / u per row, with an exact sum; +inf for a non-finite row.
 
@@ -305,14 +308,16 @@ def _sum_deviations(g: np.ndarray, fmt: FloatFormat) -> np.ndarray:
       to ``math.fsum`` of the row, and with a single band the plain sum is
       that total.  Zeros weigh nothing and go to the lowest band, so they
       do not widen the band range.
-    * If W < 1 (t = 26 and n > 2^26, or binary64) every row takes
-      ``math.fsum``.
+    * If W < 1 (t = 26 and n > 2^26, or binary64), or the batch has
+      fewer than ``_BAND_MIN_SIZE`` entries, every finite row takes
+      ``math.fsum``: banding has a fixed cost of about 10 us, more than
+      the per-row ``fsum`` of so few entries.
     """
     n, t = g.shape[1], fmt.precision_bits
     width = 53 - t - (n - 1).bit_length()
     if n * fmt.r_max <= math.ldexp(1.0, fmt.emin - t + 1 + 53):
         sums = np.add.reduce(g, axis=1)
-    elif width < 1:
+    elif width < 1 or g.size < _BAND_MIN_SIZE:
         finite = np.isfinite(g).all(axis=1)
         sums = np.array([math.fsum(row) if ok else math.inf
                          for row, ok in zip(g.tolist(), finite.tolist())])

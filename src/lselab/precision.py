@@ -11,7 +11,7 @@ bit alike, as Higham & Pranesh's ``chop`` rounds ("Simulating low precision
 floating-point arithmetic", SIAM J. Sci. Comput., 2019).  There is one table
 path for every binade of every format: one lookup of the constant C of x's
 binade, copysign((x + C) - C, x), and a scaling by 2^(1023 - emax) and
-back, which turns every result above r_max, and only those, into +-inf
+back (in two steps when emax < 0), which turns every result above r_max, and only those, into +-inf
 without a test.  In a binade whose spacing exceeds 2^971 (possible
 when emax > 970 + t), x is first scaled by the binade's P, a power of two,
 and scaled back after; only a format with such a binade reads P, and no
@@ -199,6 +199,15 @@ class FloatFormat:
         return bool((self.binade_table[2] != 1.0).any())
 
     @functools.cached_property
+    def overflow_scales(self) -> tuple[float, ...]:
+        """The powers of two, with product 2^(1023 - emax), by which
+        ``_saturate`` scales a rounded value: one while that product is a
+        double (emax >= 0), else 2^1023 and 2^-emax."""
+        if self.emax >= 0:
+            return (math.ldexp(1.0, 1023 - self.emax),)
+        return (math.ldexp(1.0, 1023), math.ldexp(1.0, -self.emax))
+
+    @functools.cached_property
     def frexp_constants(self) -> tuple[tuple[float, float], ...]:
         """``binade_table``'s (P, C) for the scalar roundings, indexed by
         ``math.frexp`` exponent e: entries 0..1024 and then -1073..-1, so
@@ -290,11 +299,17 @@ def _saturate(r, x, fmt: FloatFormat) -> np.ndarray:
     |r| >= 2^(emax+1) (the top binade rounded up, or a value above it left
     as it is), or +-inf or NaN.  The first kind scales to at most
     (2 - 2^(1-t)) 2^1023, a double, exactly and back; the second to at
-    least 2^1024, which overflows to +-inf; the third passes."""
+    least 2^1024, which overflows to +-inf; the third passes.  When
+    emax < 0, S is no double: r is scaled by 2^1023, then by 2^-emax, and
+    back (``FloatFormat.overflow_scales``).  Each step is exact on a grid
+    value, which is zero or at least 2^-1022 and stays below 2^1024; the
+    rest is as with one step."""
     r = np.asarray(r)  # a 0-d array, not a scalar, for the in-place steps
-    scale = math.ldexp(1.0, 1023 - fmt.emax)
-    r *= scale
-    r /= scale
+    scales = fmt.overflow_scales
+    for scale in scales:
+        r *= scale
+    for scale in scales:
+        r /= scale
     return np.copysign(r, x, out=r)
 
 

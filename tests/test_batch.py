@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import scalar_reference as ref
 from conftest import raised, same_bits, same_result, softmax_jacobian
 from lselab import precision
-from lselab.harness import DataSpec, _band_sums, _sum_deviations, generate
+from lselab.harness import _BAND_MIN_SIZE, DataSpec, _band_sums, _sum_deviations, generate
 from lselab.kernels import lse_softmax_basic, lse_softmax_shifted, softmax_alt
 from lselab.oracle import lse_softmax_reference
 from lselab.precision import (
@@ -549,11 +549,23 @@ def test_sum_deviations_uncertified_formats_take_fsum(monkeypatch, fmt_name, row
     assert left_to_right != math.fsum(row)
     g = np.array([row, row[::-1], [math.inf, *row[1:]]])
     want = _fsum_deviations(g, fmt.unit_roundoff)
+    big = _tiled(g)
+    want_big = _fsum_deviations(big, fmt.unit_roundoff)
     calls = _count_fsum_calls(monkeypatch)
     assert _sum_deviations(g, fmt).tobytes() == want.tobytes()
+    # a small batch: one fsum per finite row, the non-finite row is not summed
+    assert calls == [len(row)] * 2
+    del calls[:]
+    assert _sum_deviations(big, fmt).tobytes() == want_big.tobytes()
     # 1 (or 2^20) and 2^-53 (or 2^-30) lie in two bands: one fsum per row over
     # its two band totals; the non-finite row's total is inf, and so its sum
-    assert calls == [2, 2, 2]
+    assert calls == [2] * len(big)
+
+
+def _tiled(g: np.ndarray) -> np.ndarray:
+    """The rows of ``g`` repeated into a batch of at least ``_BAND_MIN_SIZE``
+    entries, which ``_sum_deviations`` sums by bands."""
+    return np.tile(g, (-(-_BAND_MIN_SIZE // g.size), 1))
 
 
 BAND_FORMATS = ["bfloat16", "fp32", T4 + "1", T4 + "0", "custom:t=26,emin=-1000,emax=1023,subnormals=0"]
@@ -627,6 +639,8 @@ def test_sum_deviations_band_sums_equal_fsum(name):
         for g in _band_batches(fmt, n, rng):
             want = _fsum_deviations(g, fmt.unit_roundoff)
             assert _sum_deviations(g, fmt).tobytes() == want.tobytes(), (n, g.tolist())
+            big = _tiled(g)  # past the small-batch fsum
+            assert _sum_deviations(big, fmt).tobytes() == np.tile(want, len(big) // len(g)).tobytes()
             # every narrower band is exact too: t = 4 takes bands only this way
             sums = np.array([math.fsum(row) for row in g.tolist()])
             for w in range(1, _band_width(fmt, n) + 1):
@@ -639,7 +653,7 @@ def test_sum_deviations_band_sums_equal_fsum(name):
 @pytest.mark.parametrize("name", ["bfloat16", "fp32"])
 def test_sum_deviations_band_count(monkeypatch, name):
     fmt = format_params(name)
-    n = 9
+    n = _BAND_MIN_SIZE  # one row large enough to be summed by bands
     w = _band_width(fmt, n)
     three = np.array([_band_edge_row(fmt, n, -100, w)])
     one = np.array([[math.ldexp(1.0, -100)] * (n - 1) + [math.ldexp(1.5, -101 + w)]])  # w binades: one band

@@ -31,6 +31,12 @@ PRESCALED = [
     "custom:t=8,emin=-100,emax=979,subnormals=1",  # emax = 971 + t
     "custom:t=26,emin=980,emax=996,subnormals=0",  # emax = 970 + t, flushing below 2^980
 ]
+# emax < 0: the overflow scaling 2^(1023 - emax) is no double and takes two steps
+NEG_EMAX = [
+    "custom:t=4,emin=-20,emax=-2,subnormals=1",
+    "custom:t=11,emin=-60,emax=-1,subnormals=0",
+    "custom:t=26,emin=-997,emax=-900,subnormals=1",  # spacing 2^-1022 near zero
+]
 
 
 def _round_by_scaling(x: np.ndarray, fmt) -> np.ndarray:
@@ -106,14 +112,14 @@ def _assert_matches_definition(fmt, x: np.ndarray) -> None:
     assert same.all(), list(zip(x[~same][:5], scalar[~same][:5], want[~same][:5]))
 
 
-@pytest.mark.parametrize("name", ["fp16", "bfloat16", T4 + "1", T4 + "0", T2 + "1", T2 + "0"])
+@pytest.mark.parametrize("name", ["fp16", "bfloat16", T4 + "1", T4 + "0", T2 + "1", T2 + "0", *NEG_EMAX[:2]])
 def test_table_path_on_every_grid_point_and_tie(name):
     fmt = format_params(name)
     x = np.concatenate([_grid_and_ties(fmt), _specials(fmt)])
     _assert_matches_definition(fmt, _both_signs(x))
 
 
-@pytest.mark.parametrize("name", ["fp32", T26] + PRESCALED)
+@pytest.mark.parametrize("name", ["fp32", T26] + PRESCALED + NEG_EMAX[2:])
 def test_table_path_on_sampled_grid_points_and_ties(name):
     fmt = format_params(name)
     x = _grid_and_ties(fmt, count=50_000, seed=3)
@@ -121,7 +127,7 @@ def test_table_path_on_sampled_grid_points_and_ties(name):
 
 
 @pytest.mark.parametrize("name", [
-    "fp16", "bfloat16", "fp32", T4 + "1", T4 + "0", T26, T2 + "1", T2 + "0", *PRESCALED,
+    "fp16", "bfloat16", "fp32", T4 + "1", T4 + "0", T26, T2 + "1", T2 + "0", *PRESCALED, *NEG_EMAX,
 ])
 def test_table_path_on_random_doubles(name):
     # every binade of binary64, subnormals, infinities and NaN included
@@ -180,7 +186,7 @@ def _overflow_mixture(fmt) -> np.ndarray:
     return _both_signs(x)
 
 
-@pytest.mark.parametrize("name", ["fp16", "bfloat16", "fp32", "fp64", *PRESCALED])
+@pytest.mark.parametrize("name", ["fp16", "bfloat16", "fp32", "fp64", *PRESCALED, *NEG_EMAX])
 def test_overflow_pass_sees_past_nan(name):
     # chop has no overflow test to skip: a NaN in the same call must not
     # hide an overflowing entry, as it would from a max()-based skip
