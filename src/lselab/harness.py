@@ -18,6 +18,7 @@ per CSV column and one boolean array per kernel flag.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import stat
@@ -281,72 +282,67 @@ def ingest_csv(path: str | os.PathLike) -> list[list[float]]:
     return vectors
 
 
-# batches with fewer entries sum per row: banding costs about 10 us whatever the batch
-_BAND_MIN_SIZE = 512
-
 def _sum_deviations(g: np.ndarray, fmt: FloatFormat) -> np.ndarray:
     """|sum(g) - 1| / u per row, with an exact sum; +inf for a non-finite row.
 
     Every entry of ``g`` is a ``fmt`` value with t significant bits.  One
-    whose binary64 biased exponent is b lies in [2^(b-1023), 2^(b-1022)) and
-    is a multiple of 2^(b-1022-t): the format's spacing there, or below
-    2^emin a power-of-two multiple of it.  So a set of entries that are all
-    multiples of some q and all below 2^(53-m) q, where 2^m >= n, sums to a
-    multiple of q below 2^53 q in every partial sum, in any order: each
-    partial sum is a binary64 number, and the plain sum is exact.
+    whose binary64 biased exponent is b lies in the binade [2^(e-1), 2^e),
+    e = b - 1022, and is a multiple of 2^(max(e, emin+1) - t): the format's
+    spacing there, or below 2^emin the spacing 2^(emin+1-t) of the binade
+    of r_min (with subnormals flushed, only zero lies there).  So a set of
+    entries that are all multiples of some q and all below 2^(53-m) q, with
+    m = ceil(log2 n), sums to a multiple of q below 2^53 q in every partial
+    sum, in any order: each partial sum is a binary64 number, and the plain
+    sum is exact.
 
-    * *One band.*  If n * r_max <= 2^53 * q, q = 2^(emin - t + 1) the bottom
-      binade's spacing, that holds for every row: its plain sum is exact
-      (fp16 up to n = 8196).
-    * *Bands.*  Otherwise the biased exponents are grouped into bands of
-      W = 53 - t - ceil(log2 n) consecutive values, counted from the lowest
-      exponent of a nonzero finite entry of the batch.  An entry of a band
-      whose lowest exponent is b0 is a multiple of q = 2^(b0-1022-t) and
-      lies below 2^(b0+W-1022) = 2^(W+t) q = 2^(53-ceil(log2 n)) q, so each
-      (row, band) total is exact; one ``np.bincount`` computes them all.  A
-      row's correctly rounded sum is ``math.fsum`` of its band totals, equal
-      to ``math.fsum`` of the row, and with a single band the plain sum is
-      that total.  Zeros weigh nothing and go to the lowest band, so they
-      do not widen the band range.
-    * If W < 1 (t = 26 and n > 2^26, or binary64), or the batch has
-      fewer than ``_BAND_MIN_SIZE`` entries, every finite row takes
-      ``math.fsum``: banding has a fixed cost of about 10 us, more than
-      the per-row ``fsum`` of so few entries.
+    Bands of L = 54 - t - m binades meet that, counted from emin + 1: the
+    band of binade e is clip(floor((e - emin - 1) / L), 0, floor((emax -
+    emin) / L)).  Band j holds the binades from emin + 1 + jL up to emin +
+    (j+1)L; band 0 also every binade below (zeros included), the last band
+    every binade above (+-inf and NaN, whose rows come out non-finite).
+    Its entries are multiples of q_j = 2^(emin + 1 + jL - t), and its
+    finite ones lie below 2^(emin + (j+1)L) = 2^(53-m) q_j (in the last
+    band, below 2^(emax+1) <= that), so each (row, band) total is exact.
+    A row's correctly rounded sum is ``math.fsum`` of its band totals.
+
+    * *One band* (emax - emin < L; fp16 up to n = 8192): the plain sum is
+      that total.
+    * *Bands*: one ``np.bincount`` gives every (row, band) total; the bands
+      that are empty in every row are dropped before the ``fsum``.
+    * *L < 1* (t = 26 and n > 2^27, or binary64 and n > 1): no band is
+      exact, and every finite row takes ``math.fsum``.
     """
-    n, t = g.shape[1], fmt.precision_bits
-    width = 53 - t - (n - 1).bit_length()
-    if n * fmt.r_max <= math.ldexp(1.0, fmt.emin - t + 1 + 53):
-        sums = np.add.reduce(g, axis=1)
-    elif width < 1 or g.size < _BAND_MIN_SIZE:
+    width = 54 - fmt.precision_bits - (g.shape[1] - 1).bit_length()
+    if width < 1:
         finite = np.isfinite(g).all(axis=1)
         sums = np.array([math.fsum(row) if ok else math.inf
                          for row, ok in zip(g.tolist(), finite.tolist())])
     else:
-        sums = _band_sums(g, width)
+        sums = _exact_sums(g, fmt, width)
     sums[~np.isfinite(sums)] = math.inf
     return np.abs(sums - 1.0) / fmt.unit_roundoff
 
 
-def _band_sums(g: np.ndarray, width: int) -> np.ndarray:
-    """Each row's exact sum from its totals over bands of ``width`` biased
-    exponents (see ``_sum_deviations``); inf or NaN for a non-finite row."""
-    b = g.view(np.int64) >> 52
-    b &= 0x7FF
-    hi = int(b.max())
-    if hi == 0x7FF:  # +-inf or NaN: their rows come out non-finite, so any band will do
-        b[b == 0x7FF] = 0
-        hi = int(b.max())
-    lo = int((b - 1).view(np.uint64).min()) + 1  # zeros wrap to the top: the lowest nonzero b
-    if hi - lo < width:
+@functools.lru_cache(maxsize=None)
+def _band_table(emin: int, emax: int, width: int) -> np.ndarray:
+    """The band of each biased exponent b for bands of ``width`` binades
+    (see ``_sum_deviations``), indexed as ``FloatFormat.binade_table``."""
+    e = np.arange(-1022, 1026)
+    return np.clip((e - emin - 1) // width, 0, (emax - emin) // width)
+
+
+def _exact_sums(g: np.ndarray, fmt: FloatFormat, width: int) -> np.ndarray:
+    """Each row's correctly rounded sum from its totals over bands of
+    ``width`` binades (see ``_sum_deviations``); inf or NaN for a non-finite row."""
+    bands, rows = (fmt.emax - fmt.emin) // width + 1, len(g)
+    if bands == 1:
         return np.add.reduce(g, axis=1)
-    bands, rows = (hi - lo) // width + 1, len(g)
-    np.maximum(b, lo, out=b)
-    b -= lo
-    b //= width
+    b = _band_table(fmt.emin, fmt.emax, width)[g.view(np.int64) >> 52]
     if rows > 1:
         b += np.arange(0, rows * bands, bands)[:, None]
-    totals = np.bincount(b.ravel(), weights=g.ravel(), minlength=rows * bands)
-    return np.array(list(map(math.fsum, totals.reshape(rows, bands).tolist())))
+    totals = np.bincount(b.ravel(), weights=g.ravel(), minlength=rows * bands).reshape(rows, bands)
+    totals = totals.compress(np.logical_or.reduce(totals), axis=1)  # the bands some row fills
+    return np.array(list(map(math.fsum, totals.tolist())))
 
 
 def _run_batch(

@@ -112,6 +112,31 @@ def test_every_member_is_read():
     assert _unread_members() == []
 
 
+def _unread_private_names():
+    """``module.name`` for each module-level function, class or assigned name
+    with one leading underscore that no code in the package loads, as a
+    name or as an attribute."""
+    defined, loads = [], set()
+    for path in sorted(Path(lselab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            else:
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+                names = [node.id for t in targets if t is not None
+                         for node in ast.walk(t) if isinstance(node, ast.Name)]
+            defined += [f"{path.stem}.{n}" for n in names if n.startswith("_") and not n.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(getattr(node, "ctx", None), ast.Load):
+                loads.add(node.id if isinstance(node, ast.Name) else getattr(node, "attr", None))
+    return [qual for qual in defined if qual.split(".", 1)[1] not in loads]
+
+
+def test_every_private_name_is_read():
+    assert _unread_private_names() == []
+
+
 def _traced_names():
     """The (module, function) pairs of ``perfbench/spans.py``'s ``WRAPPED``,
     read from its source without importing perfbench."""

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import scalar_reference as ref
 from conftest import raised, same_bits, same_result, softmax_jacobian
 from lselab import precision
-from lselab.harness import _BAND_MIN_SIZE, DataSpec, _band_sums, _sum_deviations, generate
+from lselab.harness import DataSpec, _exact_sums, _sum_deviations, generate
 from lselab.kernels import lse_softmax_basic, lse_softmax_shifted, softmax_alt
 from lselab.oracle import lse_softmax_reference
 from lselab.precision import (
@@ -488,7 +488,7 @@ def _fsum_deviations(g: np.ndarray, u: float) -> np.ndarray:
                      for row in g.tolist()])
 
 
-FP16_EXACT_N = 8196  # the largest n with n * r_max <= 2^53 * 2^-24 for fp16
+FP16_EXACT_N = 8192  # the largest n with one band for fp16: emax - emin = 29 < L = 43 - ceil(log2 n)
 
 
 def _count_fsum_calls(monkeypatch) -> list[int]:
@@ -508,7 +508,7 @@ def test_sum_deviations_certified_fp16_rows_are_exact(monkeypatch):
     fmt = precision.format_params("fp16")
     rng = np.random.default_rng(24)
     r_max, tiny = fmt.r_max, fmt.r_min_subnormal
-    assert FP16_EXACT_N * r_max <= 2.0**53 * tiny < (FP16_EXACT_N + 1) * r_max
+    assert _band_width(fmt, FP16_EXACT_N) > fmt.emax - fmt.emin >= _band_width(fmt, FP16_EXACT_N + 1)
     rows = {}
     for n in (1, 2, 7, 10, 100, FP16_EXACT_N):
         # random finite fp16 values, subnormals included
@@ -519,7 +519,7 @@ def test_sum_deviations_certified_fp16_rows_are_exact(monkeypatch):
     rows["non-finite"] = np.array([[0.5, np.inf, 0.5], [0.5, np.nan, tiny], [np.inf, np.nan, 1.0], [0.25, 0.75, 0.0]])
     want = {label: _fsum_deviations(g, fmt.unit_roundoff) for label, g in rows.items()}
     wide = np.full((1, FP16_EXACT_N + 1), tiny)
-    wide[0, ::2] = r_max  # 2^-24 and r_max lie 39 binades apart: two bands of W = 28
+    wide[0, ::2] = r_max  # 2^-24 lies in band 0 and r_max in band 1 of L = 29 binades
     want_wide = _fsum_deviations(wide, fmt.unit_roundoff)
     calls = _count_fsum_calls(monkeypatch)
     for label, g in rows.items():
@@ -527,9 +527,9 @@ def test_sum_deviations_certified_fp16_rows_are_exact(monkeypatch):
     assert calls == []  # every row took the plain binary64 sum
     assert _sum_deviations(rows["non-finite"], fmt).tolist()[:3] == [math.inf] * 3
     _sum_deviations(np.full((1, FP16_EXACT_N + 1), tiny), fmt)
-    assert calls == []  # past the bound, a row within one band still takes the plain sum
+    assert calls == [1]  # past n = 8192 a row takes bands: one fsum, over its one band that is not empty
     assert _sum_deviations(wide, fmt).tobytes() == want_wide.tobytes()
-    assert calls == [2]  # one fsum, over the row's two band totals
+    assert calls == [1, 2]  # one fsum, over the row's two band totals
 
 
 @pytest.mark.parametrize("fmt_name,row", [
@@ -549,79 +549,94 @@ def test_sum_deviations_uncertified_formats_take_fsum(monkeypatch, fmt_name, row
     assert left_to_right != math.fsum(row)
     g = np.array([row, row[::-1], [math.inf, *row[1:]]])
     want = _fsum_deviations(g, fmt.unit_roundoff)
-    big = _tiled(g)
-    want_big = _fsum_deviations(big, fmt.unit_roundoff)
+    w = _band_width(fmt, len(row))
+    filled = {_band_of(fmt, w, v) for v in (*row, math.inf)}
     calls = _count_fsum_calls(monkeypatch)
     assert _sum_deviations(g, fmt).tobytes() == want.tobytes()
-    # a small batch: one fsum per finite row, the non-finite row is not summed
-    assert calls == [len(row)] * 2
-    del calls[:]
-    assert _sum_deviations(big, fmt).tobytes() == want_big.tobytes()
-    # 1 (or 2^20) and 2^-53 (or 2^-30) lie in two bands: one fsum per row over
-    # its two band totals; the non-finite row's total is inf, and so its sum
-    assert calls == [2] * len(big)
+    # a small batch takes bands too: one fsum per row over the bands some row
+    # fills, those of 1 (or 2^20), of 2^-53 (or 2^-30) and the last, which
+    # holds inf (in the custom format, 2^20 too); the non-finite row's total
+    # is inf, and so its sum
+    assert calls == [len(filled)] * len(g)
+    assert len(filled) == (2 if fmt.emax == 20 else 3)
 
 
-def _tiled(g: np.ndarray) -> np.ndarray:
-    """The rows of ``g`` repeated into a batch of at least ``_BAND_MIN_SIZE``
-    entries, which ``_sum_deviations`` sums by bands."""
-    return np.tile(g, (-(-_BAND_MIN_SIZE // g.size), 1))
-
-
-BAND_FORMATS = ["bfloat16", "fp32", T4 + "1", T4 + "0", "custom:t=26,emin=-1000,emax=1023,subnormals=0"]
+BAND_FORMATS = ["bfloat16", "fp32", T4 + "1", T4 + "0", "custom:t=26,emin=-1000,emax=1023,subnormals=0",
+                "custom:t=20,emin=-30,emax=20,subnormals=0"]  # its band 0 rows sum to about 32
 BAND_NS = (1, 2, 3, 4, 5, 8, 9, 64, 65, 1024, 1025)  # both sides of powers of two
 
 
 def _band_width(fmt, n: int) -> int:
-    """W = 53 - t - ceil(log2 n), the widest band whose sums are exact."""
-    return 53 - fmt.precision_bits - (n - 1).bit_length()
+    """L = 54 - t - ceil(log2 n), the widest band whose sums are exact."""
+    return 54 - fmt.precision_bits - (n - 1).bit_length()
 
 
-def _binade_top(fmt, e: int) -> float:
-    """The largest ``fmt`` value of the binade [2^e, 2^(e+1))."""
-    return math.ldexp(2.0 - math.ldexp(1.0, 1 - fmt.precision_bits), e)
+def _band_of(fmt, w: int, v: float) -> int:
+    """The band of v among bands of w binades counted from emin + 1: 0 for
+    zeros, the last one for inf and NaN (see ``_sum_deviations``)."""
+    e = math.frexp(v)[1] if 0 < abs(v) < math.inf else (-1022 if v == 0 else 1025)  # v in [2^(e-1), 2^e)
+    return min(max((e - fmt.emin - 1) // w, 0), (fmt.emax - fmt.emin) // w)
 
 
-def _band_edge_row(fmt, n: int, e0: int, w: int) -> list[float]:
-    """n ``fmt`` values in three bands of w binades from [2^e0, 2^(e0+1)):
-    the lowest and the highest binade of the first two bands and the lowest
-    of the third, then the largest value of the first band's top binade."""
-    ulp = math.ldexp(1.0, e0 - fmt.precision_bits + 1)
-    edges = [math.ldexp(1.0, e0) + ulp, _binade_top(fmt, e0 + w - 1), math.ldexp(1.0, e0 + w),
-             _binade_top(fmt, e0 + 2 * w - 1), math.ldexp(1.0, e0 + 2 * w)]
-    return (edges + [_binade_top(fmt, e0 + w - 1)] * n)[:n]
+def _binade_max(fmt, e: int) -> float:
+    """The largest ``fmt`` value of the binade [2^(e-1), 2^e)."""
+    return math.ldexp(1.0 - math.ldexp(1.0, -fmt.precision_bits), e)
 
 
-def _past_band_row(fmt, n: int, e0: int, w: int) -> list[float]:
-    """2^(e0-w-2), then 3n/4 values of the binade two above a band of w
-    binades from [2^e0, 2^(e0+1)), then the band's bottom value with its
-    last bit set.  The first value anchors the bands so that a band two
-    binades wider would hold all the others, and for n a power of two its
-    total, added in order, would drop that last bit at each addition."""
-    ulp = math.ldexp(1.0, e0 - fmt.precision_bits + 1)
-    big = n - n // 4
-    return ([math.ldexp(1.0, e0 - w - 2)] + [_binade_top(fmt, e0 + w + 1)] * big
-            + [math.ldexp(1.0, e0) + ulp] * n)[:n]
+def _band_bottom(fmt, j: int, w: int) -> float:
+    """The smallest value of band j's lowest binade with its last bit set:
+    the smallest subnormal for band 0, or r_min plus its spacing when
+    subnormals flush."""
+    if j == 0 and fmt.subnormals_enabled:
+        return fmt.r_min_subnormal
+    e = fmt.emin + 1 + j * w
+    return math.ldexp(1.0, e - 1) + math.ldexp(1.0, e - fmt.precision_bits)
+
+
+def _band_top(fmt, j: int, w: int) -> float:
+    """The largest value of band j's top binade."""
+    return _binade_max(fmt, min(fmt.emin + (j + 1) * w, fmt.emax + 1))
+
+
+def _band_edge_rows(fmt, n: int, w: int) -> list[list[float]]:
+    """Rows of n values on the edges of bands of w binades: bands 0 and 1,
+    the band of 1 and the highest band below 2^128 (so that sums and
+    |sum - 1| / u stay finite).  For each band j:
+
+    * its bottom value next to n - 1 copies of the largest value of its top
+      binade, the widest row that one band of L binades sums exactly;
+    * the bottom value at both ends of n - 2 copies of the largest value of
+      the binade just above the band.  For band 0, a band one binade wider,
+      or one starting a binade higher, holds them all; for n a power of two
+      and w = L, adding them in order crosses 2^53 times the bottom value's
+      spacing and then drops a last bit twice.
+    """
+    cap = min(fmt.emax + 1, 128)
+    last = _band_of(fmt, w, math.ldexp(1.0, cap - 1))
+    if min(fmt.emin + (last + 1) * w, fmt.emax + 1) > cap:  # its top binade lies past 2^cap
+        last -= 1
+    rows = []
+    for j in sorted({0, 1, _band_of(fmt, w, 1.0), last} & set(range(last + 1))):
+        bottom, above = _band_bottom(fmt, j, w), fmt.emin + (j + 1) * w + 1
+        rows.append([bottom] + [_band_top(fmt, j, w)] * (n - 1))
+        if above <= cap:
+            rows.append([bottom, *[_binade_max(fmt, above)] * (n - 2), bottom][:n])
+    return rows
 
 
 def _band_batches(fmt, n: int, rng) -> list[np.ndarray]:
     """Batches of ``fmt`` values whose exact row sums bands must get right:
-    rows on the edges of bands of W binades at the bottom and the top of the
-    format and summing to about 1 (where |sum - 1| / u shows a rounded sum),
-    zeros, random values from every binade and non-finite rows."""
+    rows on the edges of the bands of L binades, zeros, random values from
+    every binade and non-finite rows."""
     t, emin = fmt.precision_bits, fmt.emin
     emax = min(fmt.emax, 127)  # so that n entries and |sum - 1| / u stay finite
-    w = max(1, min(_band_width(fmt, n), (emax - emin) // 2 - 1))
-    k = (n - 1).bit_length()
-    edge = [_band_edge_row(fmt, n, e0, w) for e0 in (emin, emin + 1, emax - 2 * w, max(emin, -2 * w))]
-    past = sorted({emin + w + 2, max(emin + w + 2, -w - 1 - k)})  # at the bottom, and summing to about 1
-    edge += [_past_band_row(fmt, n, e0, w) for e0 in past if e0 + w + 1 <= emax]
+    edge = _band_edge_rows(fmt, n, _band_width(fmt, n))
     small = [math.ldexp(1.0, emin)] * n
     small[::2] = [0.0] * len(small[::2])  # zeros among small entries
     random = chop(rng.uniform(0.5, 2.0, (4, n)) * np.exp2(rng.integers(emin - t - 2, emax + 1, (4, n))), fmt)
     non_finite = [[math.inf] * n, [math.nan] * n, [1.0, math.inf, math.nan, *[1.0] * n][:n]]
     return [
-        np.array([row]) for row in edge
+        np.array([row]) for row in edge[:2]
     ] + [
         np.array(edge + [small, [0.0] * n]),
         np.array([[0.0] * n]),
@@ -639,30 +654,45 @@ def test_sum_deviations_band_sums_equal_fsum(name):
         for g in _band_batches(fmt, n, rng):
             want = _fsum_deviations(g, fmt.unit_roundoff)
             assert _sum_deviations(g, fmt).tobytes() == want.tobytes(), (n, g.tolist())
-            big = _tiled(g)  # past the small-batch fsum
-            assert _sum_deviations(big, fmt).tobytes() == np.tile(want, len(big) // len(g)).tobytes()
             # every narrower band is exact too: t = 4 takes bands only this way
             sums = np.array([math.fsum(row) for row in g.tolist()])
             for w in range(1, _band_width(fmt, n) + 1):
-                assert same_bits(_band_sums(g, w), sums).all(), (n, w, g.tolist())
+                assert same_bits(_exact_sums(g, fmt, w), sums).all(), (n, w, g.tolist())
             rounds += int(((np.add.reduce(g, axis=1) != sums) & np.isfinite(sums)).sum())
+        # and so are the edges of each narrower band
+        for w in range(1, _band_width(fmt, n) + 1):
+            g = np.array(_band_edge_rows(fmt, n, w))
+            sums = np.array([math.fsum(row) for row in g.tolist()])
+            assert same_bits(_exact_sums(g, fmt, w), sums).all(), (n, w)
     if fmt.precision_bits > 4:
         assert rounds > 0  # the plain sum rounds on some of these rows
+
+
+@pytest.mark.parametrize("n", [FP16_EXACT_N, FP16_EXACT_N + 1, 2**15])
+def test_sum_deviations_fp16_band_edges(n):
+    # one band up to n = 8192, two from 8193 on; at n = 2^15 the row one
+    # binade past band 0 sums to about 2^30, and only bands get it exactly
+    fmt = format_params("fp16")
+    g = np.array(_band_edge_rows(fmt, n, _band_width(fmt, n)))
+    assert len(g) == (1 if n == FP16_EXACT_N else 3)
+    assert _sum_deviations(g, fmt).tobytes() == _fsum_deviations(g, fmt.unit_roundoff).tobytes()
 
 
 @pytest.mark.parametrize("name", ["bfloat16", "fp32"])
 def test_sum_deviations_band_count(monkeypatch, name):
     fmt = format_params(name)
-    n = _BAND_MIN_SIZE  # one row large enough to be summed by bands
+    n = 9  # a small batch takes bands too
     w = _band_width(fmt, n)
-    three = np.array([_band_edge_row(fmt, n, -100, w)])
-    one = np.array([[math.ldexp(1.0, -100)] * (n - 1) + [math.ldexp(1.5, -101 + w)]])  # w binades: one band
+    j = _band_of(fmt, w, 1.0) - 1  # the band below 1's, and the two above it
+    three = np.array([[_band_bottom(fmt, j, w), _band_top(fmt, j, w), _band_bottom(fmt, j + 1, w),
+                       _band_top(fmt, j + 1, w), _band_bottom(fmt, j + 2, w)] + [_band_top(fmt, j, w)] * (n - 5)])
+    one = np.array([[_band_bottom(fmt, j, w)] * (n - 1) + [_band_top(fmt, j, w)]])  # both ends of one band
     want_three, want_one = (_fsum_deviations(g, fmt.unit_roundoff) for g in (three, one))
     calls = _count_fsum_calls(monkeypatch)
     assert _sum_deviations(three, fmt).tobytes() == want_three.tobytes()
     assert calls == [3]  # one fsum, over three band totals
     assert _sum_deviations(one, fmt).tobytes() == want_one.tobytes()
-    assert calls == [3]  # one band: the plain sum
+    assert calls == [3, 1]  # one band is filled: one fsum, over its total
 
 
 def test_jacobian_matches_diag_minus_outer_bitwise():

@@ -1,6 +1,9 @@
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -182,6 +185,9 @@ _NOT_FLOAT = "error: --x: could not convert string to float: "
                  id="gen-near-singular-range-overflows"),
     pytest.param(["experiment", "--gen", "wide-spread:inf", "--format", "fp16"], None, None,
                  id="gen-wide-spread-infinite"),
+    pytest.param(["experiment", "--gen", "constant:1,2", "--format", "fp16"], None,
+                 "error: bad generator spec 'constant:1,2': constant generator needs one parameter",
+                 id="gen-constant-two-params"),
     # numpy refuses the 728 TiB array up front and raises MemoryError
     pytest.param(["experiment", "--gen", "near-singular:1", "--n", "100000000000000",
                   "--count", "1"], None, None, id="gen-allocation-refused"),
@@ -291,6 +297,26 @@ def test_same_outcome_as_the_full_parser(argv, tmp_path, monkeypatch, capsys):
     written = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     assert _outcome(main, argv, capsys) == expected
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == written
+
+
+@pytest.mark.parametrize("argv,code", [
+    pytest.param(["formats"], 0, id="formats"),
+    pytest.param(["experiment", "--gen", "uniform:-20,20", "--n", "10", "--count", "5",
+                  "--format", "fp16", "--out", "run"], 0, id="experiment"),
+    pytest.param(["eval", "--x=1,,2"], 2, id="eval-empty-field"),
+])
+def test_module_runs_as_a_process(argv, code, tmp_path):
+    """``python -m lselab.cli`` exits with ``main``'s return value."""
+    src = str(Path(lselab.cli.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-m", "lselab.cli", *argv], cwd=tmp_path, env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == code, out.stderr
+    if code == 0:
+        assert out.stdout and out.stderr == ""
+    else:
+        lines = out.stderr.splitlines()
+        assert out.stdout == "" and len(lines) == 1 and lines[0].startswith("error: "), out.stderr
 
 
 def test_main_reads_sys_argv_by_default(monkeypatch, capsys):
