@@ -9,7 +9,8 @@ Each kernel takes a batch of equal-length vectors (a 2-D array, one vector
 per row) and returns a :class:`BatchResult`; one vector is a one-row batch.
 Elementwise steps run on the whole batch; each row's sum is
 ``ArithmeticContext.sum``, strictly left to right, one rounded addition at a
-time, as the paper's error analysis assumes.
+time, as the paper's error analysis assumes; an addition proven to give back
+the partial sum unchanged is skipped.
 
 Numeric pathologies never raise: infinities and NaNs propagate with IEEE
 semantics and are reported through the result's flags.

@@ -221,6 +221,26 @@ class FloatFormat:
 
         return tuple(zip(by_frexp(p), by_frexp(c)))
 
+    @functools.cached_property
+    def frexp_sum_entries(self) -> tuple[tuple[float, float, float, float], ...]:
+        """(lo, hi, C, quarter) for ``ArithmeticContext.sum``, indexed like
+        ``frexp_constants`` by the ``math.frexp`` exponent e of a partial
+        sum v.  Where the binade [lo, hi) = [2^(e-1), 2^e) lies below the
+        top one and has P = 1, C is its ``binade_table`` constant and
+        quarter is 2^(s-2) = C / 1.5 * 2^-54 of binade max(e, emin + 1),
+        2^s its spacing; every other entry is zeros.  v's rounding r is 0 or
+        a format value in [2^(e-1), 2^e], or for e <= emin in [0, r_min]
+        (flushed or not), so a nonzero r has a spacing of at least 4 *
+        quarter."""
+        c, _, p = self.binade_table
+        e = np.concatenate((np.arange(1025), np.arange(-1073, 0)))  # frexp_constants' order
+        b = np.maximum(e + 1022, 0)  # the biased exponent of [2^(e-1), 2^e)
+        quarter = np.ldexp(c[np.maximum(b, self.emin + 1023)], -54) / 1.5
+        cached = (e <= self.emax) & (p[b] == 1.0)
+        with np.errstate(over="ignore"):  # hi = 2^1024 at e = 1024, never cached
+            entries = np.where(cached, [np.ldexp(0.5, e), np.ldexp(1.0, e), c[b], quarter], 0.0)
+        return tuple(map(tuple, entries.T.tolist()))
+
 
 @functools.lru_cache(maxsize=32)
 def format_params(name: str) -> FloatFormat:
@@ -422,23 +442,50 @@ class ArithmeticContext:
         rounded with that binade's constant C as (v + C) - C, bit for bit
         what ``round_to_format`` gives there (see ``FloatFormat.binade_table``)
         without the lookup.  Any other v is a miss: it goes to
-        ``round_to_format`` and re-keys the cache to v's binade.  Only
-        binades with P = 1 below the top one are cached, so a hit needs no
-        scaling and never overflows; in the top binade (v + C) - C can give
-        2^(emax+1), where +inf is right.
+        ``round_to_format`` and re-keys the cache to v's binade with one
+        entry of ``FloatFormat.frexp_sum_entries``.  Only binades with P = 1
+        below the top one are cached, so a hit needs no scaling and never
+        overflows; in the top binade (v + C) - C can give 2^(emax+1), where
+        +inf is right.
         A row stops once its sum is +inf, which every later term (>= 0) keeps.
+
+        *Skipped additions.*  A term w < quarter is not added: s + w rounds
+        back to s.  quarter is at most q/4, q the format's spacing at the
+        partial sum s, a format value, and t <= 26.  Let s lie in
+        [2^(e-1), 2^e) (for s below 2^emin, q = 2^(emin+1-t) >= 2^(e+1-t)).
+        Then s <= 2^e - q and s + w < s + q/4 < 2^e, so the binary64 sum
+        s + w is at most s + w + 2^(e-53) < s + q/4 + 2^(e-53) <= s + q/2,
+        because 2^(e-53) <= 2^(e-t-2) <= q/4 for t <= 51.  It lies in
+        [s, s + q/2), strictly nearer s than any other format value, so it
+        rounds to s and is never a tie.  quarter starts at 0, so the first
+        addition always runs: the first term enters unrounded.  It is 0 in
+        the binades that are not cached, and for fp64, whose C are 0.
+        Three traps:
+
+        * quarter is read for s, not for v.  With flush to zero a v below
+          r_min rounds up to r_min, whose spacing 2^(emin+1-t) is finer than
+          v's binade suggests; every entry below 2^emin holds r_min's
+          quarter.  In bfloat16 the row (0.375, 0.375, 0.24, 0.24) * r_min
+          sums to 1.484375 * r_min; a quarter read at v gives r_min.
+        * v = 0 has frexp exponent 0, whose entry is the binade [1/2, 1).
+          quarter stays 0 while s = 0: a zero s keeps the state it has.
+        * q/2 would not do, because s + w rounds twice.  In fp16 the row
+          (1, 2^-10, 2^-11 - 2^-60) sums to 1 + 2^-9: the binary64 sum is
+          the tie 1 + 2^-10 + 2^-11, which goes to even.
         """
         w = np.asarray(w, dtype=np.float64)
         if w.ndim != 2 or w.shape[1] == 0 or not (w >= 0.0).all():
             raise ValueError("sum needs a (rows x n) array, n >= 1, of terms >= +0")
         fmt = self.fmt
-        table, emax = fmt.frexp_constants, fmt.emax
+        entries = fmt.frexp_sum_entries
         sums = []
         for row in w.tolist():
             terms = iter(row)
             s = next(terms)
-            lo = hi = c = 0.0  # no binade yet: the first addition misses
+            lo = hi = c = quarter = 0.0  # no binade yet: the first addition misses
             for term in terms:
+                if term < quarter:
+                    continue
                 v = s + term
                 if lo <= v < hi:
                     s = (v + c) - c
@@ -446,12 +493,8 @@ class ArithmeticContext:
                 s = round_to_format(v, fmt)
                 if s == math.inf:
                     break
-                e = math.frexp(v)[1]  # 0 for v = 0, whose [1/2, 1) does not hold it
-                p, c = table[e]
-                if e <= emax and p == 1.0:
-                    lo, hi = math.ldexp(0.5, e), math.ldexp(1.0, e)
-                else:
-                    lo = hi = 0.0
+                if s:  # while s = 0 quarter stays 0 (see the second trap)
+                    lo, hi, c, quarter = entries[math.frexp(v)[1]]
             sums.append(s)
         return np.array(sums)
 

@@ -13,7 +13,9 @@ numpy.  The package has one table path for every binade of every format,
 cache of ``ArithmeticContext.sum``, fp64 included), so this function checks
 it independently, as does the array definition ``_round_by_scaling`` in
 ``test_table_chop``.  The scalar kernels add one term at a time with
-``round_reference``, the sum ``ArithmeticContext.sum`` must reproduce.
+``round_reference``, the sum ``ArithmeticContext.sum`` must reproduce.  They
+add every term, so they are the independent check of the additions that
+``ArithmeticContext.sum`` skips as unable to change its partial sum.
 """
 
 from __future__ import annotations

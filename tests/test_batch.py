@@ -158,6 +158,16 @@ def test_binade_table_entries(monkeypatch):
         assert {c for _, c in fmt.frexp_constants[last + 1:fmt.emax + 2]} == {math.ldexp(1.5, 1023)}
         assert set(fmt.frexp_constants[fmt.emax + 2:1025]) <= {(1.0, 0.0)}
     assert set(format_params("fp64").frexp_constants) == {(1.0, 0.0)}
+    # the sum's entries: (lo, hi, C, quarter) in each cached binade, where
+    # quarter is a quarter of the spacing at the rounded partial sum: below
+    # 2^emin, flushed or not, that of r_min's binade; zeros from the top one up
+    entries = format_params("fp16").frexp_sum_entries
+    assert entries[math.frexp(1.0)[1]] == (1.0, 2.0, math.ldexp(1.5, 1 - 11 + 52), 2.0**-12)
+    assert {entries[e][3] for e in range(-1073, -13)} == {2.0**-26}
+    assert set(entries[16:1025]) == {(0.0, 0.0, 0.0, 0.0)}
+    entries = format_params("bfloat16").frexp_sum_entries
+    assert {entries[e][2:] for e in range(-1073, -126)} == {(math.ldexp(1.5, -126 + 52), 2.0**-135)}
+    assert {entry[3] for entry in format_params("fp64").frexp_sum_entries} == {0.0}
 
     # every binade, the top one and the prescaled ones included, rounds by
     # the table and an overflow test, never by chop: zeros, values that round
@@ -262,10 +272,11 @@ def _check_sums(rows: list[list[float]], fmt) -> None:
 def _sum_edge_rows(fmt) -> list[list[float]]:
     """Rows whose partial sums, inside a cached binade [a, 2a), tie at its
     lower edge, tie at its upper edge and round up onto 2a, or land exactly
-    on 2a; then subnormal and zero terms, sums in the top binade that do and
-    do not round to inf, and +inf terms."""
-    t, emax = fmt.precision_bits, fmt.emax
-    lowest = fmt.emin + 1 if fmt.subnormals_enabled else fmt.emin + t + 1
+    on 2a; then rows on the threshold below which a term cannot change the
+    sum, subnormal and zero terms, sums in the top binade that do and do not
+    round to inf, and +inf terms."""
+    t, emin, emax = fmt.precision_bits, fmt.emin, fmt.emax
+    lowest = emin + 1 if fmt.subnormals_enabled else emin + t + 1
     rows = []
     for j in range(lowest, emax):
         a, half_ulp = math.ldexp(1.0, j), math.ldexp(1.0, j - t)
@@ -274,10 +285,25 @@ def _sum_edge_rows(fmt) -> list[list[float]]:
             [a, a / 2, a / 2 - half_ulp],  # 1.5a, then 2a - ulp/2: ties up to 2a
             [a, a / 2, a / 4, a / 4],  # 1.5a, 1.75a, then exactly 2a
         ]
+    # the bottom and top value s of a binade [2^j, 2^(j+1)) with spacing q
+    # (a subnormal one too), entered by adding 0, then one term around q/4
+    # and q/2; q/2 less one binary64 ulp makes s + w the tie s + q/2 in
+    # binary64, which rounds up from the odd top value
+    for j in sorted({emin - 1, emin, 0, emax - 1}):
+        if emin - 1 <= j < emax:
+            q = math.ldexp(1.0, max(j, emin) + 1 - t)
+            for s in (math.ldexp(1.0, j), math.ldexp(2.0, j) - q):
+                rows += [[s, 0.0, w] for w in (
+                    math.nextafter(q / 4, 0.0), q / 4, math.nextafter(q / 2, 0.0), q / 2, 0.75 * q,
+                )]
     top, top_half_ulp = math.ldexp(1.0, emax), math.ldexp(1.0, emax - t)
-    sub = fmt.r_min_subnormal
+    sub, r_min = fmt.r_min_subnormal, fmt.r_min
     rows += [
+        # 0.75 r_min rounds to r_min even when flushing; r_min's spacing, not
+        # that of the flushed grid below it, bounds the terms that change it
+        [0.375 * r_min, 0.375 * r_min, 0.24 * r_min, 0.24 * r_min],
         [0.0, sub, 0.0, sub, sub, 0.0],
+        [0.0, 0.0, sub, sub, 0.0, sub],  # the sum 0 enters no binade
         [0.0, 0.0],
         [top, top / 2, top / 2 - top_half_ulp],  # r_max + ulp/2 rounds to inf
         [top, top / 2, top / 2 - 2 * top_half_ulp, top_half_ulp / 2],  # stays r_max
@@ -340,11 +366,15 @@ def test_sum_calls_round_to_format_only_when_the_binade_changes(monkeypatch):
         return round_to_format(v, fmt)
 
     monkeypatch.setattr(precision, "round_to_format", counting)
-    s = ArithmeticContext(format_params("bfloat16")).sum(np.ones((1, 1000)))
-    # 256 + 1 ties to even: the sum stops growing at 256
-    assert s.tolist() == [256.0]
-    # the partial sums 2, 4, ..., 256 each enter a new binade; the rest stay in theirs
-    assert calls == [2.0**k for k in range(1, 9)]
+    # row 1: 256 + 1 ties to even, so the sum stops growing at 256.  Row 2:
+    # 255.5 ties up to 256 in the binade below it, whose spacing 1 skips the
+    # terms 0.125; 257 ties down to 256, whose spacing 2 skips the terms 0.25
+    rows = np.array([np.ones(1000), [255.0, 0.5] + [0.125] * 400 + [1.0] + [0.25] * 596 + [256.0]])
+    s = ArithmeticContext(format_params("bfloat16")).sum(rows)
+    assert s.tolist() == [256.0, 512.0]
+    # row 1's partial sums 2, 4, ..., 256 each enter a new binade; the rest stay
+    # in theirs.  Row 2 adds only 0.5, 1 and 256, and each of them misses
+    assert calls == [2.0**k for k in range(1, 9)] + [255.5, 257.0, 512.0]
 
 
 @pytest.mark.parametrize("name", [
@@ -367,6 +397,31 @@ def test_sum_is_add_swept_along_each_row(name):
         for j in range(1, w.shape[1]):
             want = ctx.add(want, w[:, j])
         assert same_bits(ctx.sum(w), want).all(), (name, rows)
+
+
+@pytest.mark.parametrize("subnormals", "01")
+def test_sum_skips_no_addition_that_changes_it_exhaustive_t4(subnormals):
+    """Every pair (a, b) of nonnegative t = 4 values, then 16 third terms
+    around the threshold below which a term cannot change s = fl(a + b):
+    the sum is the ``add`` sweep, bit for bit."""
+    fmt = format_params(T4 + subnormals)
+    ctx = ArithmeticContext(fmt)
+    t, emin = fmt.precision_bits, fmt.emin
+    values = [0.0] + [m * math.ldexp(1.0, e + 1 - t) for e in range(emin, fmt.emax + 1)
+                      for m in range(2 ** (t - 1), 2**t)]
+    if fmt.subnormals_enabled:
+        values += [k * fmt.r_min_subnormal for k in range(1, 2 ** (t - 1))]
+    a, b = (v.ravel() for v in np.meshgrid(values, values))
+    s = ctx.add(a, b)
+    # the spacing q at s: the subnormal spacing at 0 and below 2^emin (+inf gets any)
+    q = np.ldexp(1.0, np.maximum(np.frexp(s)[1] - 1, emin) + 1 - t)
+    q[s == 0.0] = math.ldexp(1.0, emin + 1 - t)
+    thirds = [q * f for f in (0.0, 1 / 8, 1 / 4, 3 / 8, 1 / 2, 3 / 4, 1.0, 2.0)]
+    thirds += [np.nextafter(q / 4, 0), np.nextafter(q / 4, np.inf), np.nextafter(q / 2, 0), np.nextafter(q / 2, np.inf)]
+    thirds += [s] + [np.full_like(q, v) for v in (fmt.r_min_subnormal, fmt.r_min, fmt.r_max)]
+    w = np.concatenate([np.stack([a, b, third], axis=1) for third in thirds])
+    want = ctx.add(ctx.add(w[:, 0], w[:, 1]), w[:, 2])
+    assert same_bits(ctx.sum(w), want).all()
 
 
 @pytest.mark.parametrize("w", [
