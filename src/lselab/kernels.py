@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .precision import ArithmeticContext, as_batch, per_row
+from .precision import ArithmeticContext, as_batch
 from .quantities import KERNELS
 
 __all__ = [
@@ -102,7 +102,9 @@ def softmax_alt(x, y, ctx: ArithmeticContext) -> BatchResult:
     any other length raises ``ValueError``.
     """
     xs = as_batch(x)
-    y = per_row(y, xs)
+    y = np.asarray(y, dtype=np.float64).reshape(-1)
+    if len(y) != len(xs):
+        raise ValueError(f"y needs one value per row: {len(xs)} rows, {len(y)} values")
     g = ctx.exp(ctx.sub(xs, y[:, None]))
     return _result(y, g, {FLAG_OVERFLOWED: np.isinf(g).any(axis=1)})
 

@@ -10,13 +10,14 @@ left-to-right ``sum`` included, so no other module rounds.
 bit alike, as Higham & Pranesh's ``chop`` rounds ("Simulating low precision
 floating-point arithmetic", SIAM J. Sci. Comput., 2019).  There is one table
 path for every binade of every format: one lookup of the constant C of x's
-binade, copysign((x + C) - C, x), and a scaling by 2^(1023 - emax) and
-back (in two steps when emax < 0), which turns every result above r_max, and only those, into +-inf
-without a test.  In a binade whose spacing exceeds 2^971 (possible
-when emax > 970 + t), x is first scaled by the binade's P, a power of two,
-and scaled back after; only a format with such a binade reads P, and no
-named format has one.  ``FloatFormat.binade_table`` holds C and P for every
-binade and derives them; for binary64 every C is 0.0, the identity.
+binade, copysign((x + C) - C, x), and one comparison, |r| > r_max, which
+sends every result above r_max, and only those, to +-inf in both roundings.
+In a binade whose spacing exceeds 2^971 (possible when emax > 970 + t), x
+is first scaled by the binade's P, a power of two, and scaled back after;
+only a format with such a binade reads P, and no named format has one.
+``FloatFormat.binade_table`` holds C and P for every binade and derives
+them, and ``FloatFormat.frexp_entries`` lists them for one scalar; for
+binary64 every C is 0.0, the identity.
 
 exp, log and log1p round the C library's value, as ``chop`` would.
 ``ArithmeticContext`` computes them with numpy's vector functions and the
@@ -42,7 +43,6 @@ __all__ = [
     "round_to_format",
     "chop",
     "as_batch",
-    "per_row",
     "NAMED_FORMATS",
 ]
 
@@ -130,7 +130,8 @@ class FloatFormat:
         b - 2048 for a negative one, which indexes from the end to entry b.
         Biased exponent b holds the binade [2^(e-1), 2^e) with e = b - 1022;
         b = 0 holds the zeros and binary64's subnormals, all below 2^emin,
-        and b = 2047 holds +-inf and NaN.
+        and b = 2047 holds +-inf and NaN.  ``frexp_entries`` holds the same
+        P and C indexed by ``math.frexp`` exponent, for one scalar.
 
         *C and P.* Let 2^s be the format's spacing in the binade: s = e - t
         above 2^emin; below it s = emin - t + 1 (the subnormal spacing) with
@@ -199,47 +200,27 @@ class FloatFormat:
         return bool((self.binade_table[2] != 1.0).any())
 
     @functools.cached_property
-    def overflow_scales(self) -> tuple[float, ...]:
-        """The powers of two, with product 2^(1023 - emax), by which
-        ``_saturate`` scales a rounded value: one while that product is a
-        double (emax >= 0), else 2^1023 and 2^-emax."""
-        if self.emax >= 0:
-            return (math.ldexp(1.0, 1023 - self.emax),)
-        return (math.ldexp(1.0, 1023), math.ldexp(1.0, -self.emax))
-
-    @functools.cached_property
-    def frexp_constants(self) -> tuple[tuple[float, float], ...]:
-        """``binade_table``'s (P, C) for the scalar roundings, indexed by
-        ``math.frexp`` exponent e: entries 0..1024 and then -1073..-1, so
-        that Python's negative indexing maps e to its own entry.  frexp
-        gives +-0, +-inf and NaN e = 0, whose entry rounds them to
-        themselves."""
+    def frexp_entries(self) -> tuple[tuple[float, float, float, float, float], ...]:
+        """(P, C, lo, hi, quarter) for the scalar roundings, indexed by the
+        ``math.frexp`` exponent e of a value v in [2^(e-1), 2^e): entries
+        0..1024 and then -1073..-1, so that Python's negative indexing maps
+        e to its own entry.  P and C are ``binade_table``'s for v's binade;
+        frexp gives +-0, +-inf and NaN e = 0, whose entry rounds them to
+        themselves.  lo, hi and quarter serve ``ArithmeticContext.sum``:
+        where the binade [lo, hi) = [2^(e-1), 2^e) lies below the top one
+        and has P = 1, quarter is 2^(s-2) = C / 1.5 * 2^-54 of binade
+        max(e, emin + 1), 2^s its spacing; elsewhere lo = hi = quarter = 0.
+        v's rounding r is 0 or a format value in [2^(e-1), 2^e], or for
+        e <= emin in [0, r_min] (flushed or not), so a nonzero r has a
+        spacing of at least 4 * quarter."""
         c, _, p = self.binade_table
-
-        def by_frexp(col):  # exponents 0..1024, -1073..-1022 (binary64's subnormals), -1021..-1
-            return np.concatenate((col[1022:2047], np.full(52, col[0]), col[1:1022])).tolist()
-
-        return tuple(zip(by_frexp(p), by_frexp(c)))
-
-    @functools.cached_property
-    def frexp_sum_entries(self) -> tuple[tuple[float, float, float, float], ...]:
-        """(lo, hi, C, quarter) for ``ArithmeticContext.sum``, indexed like
-        ``frexp_constants`` by the ``math.frexp`` exponent e of a partial
-        sum v.  Where the binade [lo, hi) = [2^(e-1), 2^e) lies below the
-        top one and has P = 1, C is its ``binade_table`` constant and
-        quarter is 2^(s-2) = C / 1.5 * 2^-54 of binade max(e, emin + 1),
-        2^s its spacing; every other entry is zeros.  v's rounding r is 0 or
-        a format value in [2^(e-1), 2^e], or for e <= emin in [0, r_min]
-        (flushed or not), so a nonzero r has a spacing of at least 4 *
-        quarter."""
-        c, _, p = self.binade_table
-        e = np.concatenate((np.arange(1025), np.arange(-1073, 0)))  # frexp_constants' order
-        b = np.maximum(e + 1022, 0)  # the biased exponent of [2^(e-1), 2^e)
+        e = np.concatenate((np.arange(1025), np.arange(-1073, 0)))
+        b = np.maximum(e + 1022, 0)  # the biased exponent of [2^(e-1), 2^e); 0 below 2^-1022
         quarter = np.ldexp(c[np.maximum(b, self.emin + 1023)], -54) / 1.5
         cached = (e <= self.emax) & (p[b] == 1.0)
         with np.errstate(over="ignore"):  # hi = 2^1024 at e = 1024, never cached
-            entries = np.where(cached, [np.ldexp(0.5, e), np.ldexp(1.0, e), c[b], quarter], 0.0)
-        return tuple(map(tuple, entries.T.tolist()))
+            lo, hi, quarter = np.where(cached, [np.ldexp(0.5, e), np.ldexp(1.0, e), quarter], 0.0).tolist()
+        return tuple(zip(p[b].tolist(), c[b].tolist(), lo, hi, quarter))
 
 
 @functools.lru_cache(maxsize=32)
@@ -267,7 +248,7 @@ def round_to_format(x: float, fmt: FloatFormat) -> float:
     subnormal when the format supports them).  NaN maps to NaN.  The result
     is carried in binary64 and the map is idempotent.
     """
-    p, c = fmt.frexp_constants[math.frexp(x)[1]]
+    p, c, _, _, _ = fmt.frexp_entries[math.frexp(x)[1]]
     r = math.copysign(((x * p + c) - c) / p, x)  # see FloatFormat.binade_table
     return math.copysign(math.inf, x) if abs(r) > fmt.r_max else r
 
@@ -311,25 +292,9 @@ def _round_by_table(x: np.ndarray, field: np.ndarray, fmt: FloatFormat) -> np.nd
 
 
 def _saturate(r, x, fmt: FloatFormat) -> np.ndarray:
-    """r with +-inf where |r| > r_max, and the sign of x: the sign a zero
-    r = (x + C) - C lacks.  An array, 0-d for scalars; r is overwritten.
-
-    There is no test: r is scaled by S = 2^(1023 - emax) and back.  A
-    rounded r is a grid value, |r| <= r_max = (2 - 2^(1-t)) 2^emax, or
-    |r| >= 2^(emax+1) (the top binade rounded up, or a value above it left
-    as it is), or +-inf or NaN.  The first kind scales to at most
-    (2 - 2^(1-t)) 2^1023, a double, exactly and back; the second to at
-    least 2^1024, which overflows to +-inf; the third passes.  When
-    emax < 0, S is no double: r is scaled by 2^1023, then by 2^-emax, and
-    back (``FloatFormat.overflow_scales``).  Each step is exact on a grid
-    value, which is zero or at least 2^-1022 and stays below 2^1024; the
-    rest is as with one step."""
-    r = np.asarray(r)  # a 0-d array, not a scalar, for the in-place steps
-    scales = fmt.overflow_scales
-    for scale in scales:
-        r *= scale
-    for scale in scales:
-        r /= scale
+    """r with +-inf where |r| > r_max and the sign of x, which a zero r lacks; r is overwritten."""
+    r = np.abs(r, out=np.asarray(r))  # a 0-d array, not a scalar, for the in-place steps
+    r[r > fmt.r_max] = np.inf
     return np.copysign(r, x, out=r)
 
 
@@ -345,14 +310,6 @@ def as_batch(x) -> np.ndarray:
     if not np.isfinite(xs).all():
         raise ValueError("input vector entries must be finite")
     return xs.reshape(-1, xs.shape[-1])
-
-
-def per_row(y, xs: np.ndarray) -> np.ndarray:
-    """``y`` as one float64 per row of the batch ``xs``; another length raises ``ValueError``."""
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    if len(y) != len(xs):
-        raise ValueError(f"y needs one value per row: {len(xs)} rows, {len(y)} values")
-    return y
 
 
 def _libm(fast, a) -> np.ndarray:
@@ -443,7 +400,7 @@ class ArithmeticContext:
         what ``round_to_format`` gives there (see ``FloatFormat.binade_table``)
         without the lookup.  Any other v is a miss: it goes to
         ``round_to_format`` and re-keys the cache to v's binade with one
-        entry of ``FloatFormat.frexp_sum_entries``.  Only binades with P = 1
+        entry of ``FloatFormat.frexp_entries``.  Only binades with P = 1
         below the top one are cached, so a hit needs no scaling and never
         overflows; in the top binade (v + C) - C can give 2^(emax+1), where
         +inf is right.
@@ -477,7 +434,7 @@ class ArithmeticContext:
         if w.ndim != 2 or w.shape[1] == 0 or not (w >= 0.0).all():
             raise ValueError("sum needs a (rows x n) array, n >= 1, of terms >= +0")
         fmt = self.fmt
-        entries = fmt.frexp_sum_entries
+        entries = fmt.frexp_entries
         sums = []
         for row in w.tolist():
             terms = iter(row)
@@ -494,7 +451,7 @@ class ArithmeticContext:
                 if s == math.inf:
                     break
                 if s:  # while s = 0 quarter stays 0 (see the second trap)
-                    lo, hi, c, quarter = entries[math.frexp(v)[1]]
+                    _, c, lo, hi, quarter = entries[math.frexp(v)[1]]
             sums.append(s)
         return np.array(sums)
 

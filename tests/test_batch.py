@@ -123,8 +123,8 @@ def test_chop_matches_round_to_format_on_edges(name):
 
 def test_binade_table_entries(monkeypatch):
     # P = 1 throughout: fp16's spacing never exceeds 2^971
-    assert {p for p, _ in format_params("fp16").frexp_constants} == {1.0}
-    table = [c for _, c in format_params("fp16").frexp_constants]
+    assert {entry[0] for entry in format_params("fp16").frexp_entries} == {1.0}
+    table = [entry[1] for entry in format_params("fp16").frexp_entries]
     emin_constant = table[math.frexp(2.0**-14)[1]]
     # every binade below 2^emin shares the emin binade's constant, down to
     # the one holding 2^-1074: C rounds below the smallest subnormal to +-0
@@ -141,8 +141,8 @@ def test_binade_table_entries(monkeypatch):
         assert table[math.frexp(v)[1]] == constants[field] == constants[field - 2048], v
     assert len(constants) == 2048
     # flushing subnormals, the grid below 2^emin is {0, r_min}
-    bf16 = format_params("bfloat16").frexp_constants
-    below = {bf16[math.frexp(2.0**j)[1]] for j in range(-1074, -126)}
+    bf16 = format_params("bfloat16").frexp_entries
+    below = {bf16[math.frexp(2.0**j)[1]][:2] for j in range(-1074, -126)}
     assert below == {(1.0, math.ldexp(1.5, -126 + 52))}
     # with emax > 970 + t, the binades from 2^(971 + t) up to the top one,
     # whose spacing 2^s exceeds 2^971, are prescaled: P = 2^(971 - s) and
@@ -152,22 +152,27 @@ def test_binade_table_entries(monkeypatch):
         fmt = format_params(name)
         t, last = fmt.precision_bits, 1023 + fmt.precision_bits - 52
         assert last < fmt.emax + 1
-        assert {p for p, _ in fmt.frexp_constants[:last + 1]} == {1.0}
-        assert [p for p, _ in fmt.frexp_constants[last + 1:fmt.emax + 2]] == [
+        entries = fmt.frexp_entries
+        assert {entry[0] for entry in entries[:last + 1]} == {1.0}
+        assert [entry[0] for entry in entries[last + 1:fmt.emax + 2]] == [
             math.ldexp(1.0, 971 - (e - t)) for e in range(last + 1, fmt.emax + 2)]
-        assert {c for _, c in fmt.frexp_constants[last + 1:fmt.emax + 2]} == {math.ldexp(1.5, 1023)}
-        assert set(fmt.frexp_constants[fmt.emax + 2:1025]) <= {(1.0, 0.0)}
-    assert set(format_params("fp64").frexp_constants) == {(1.0, 0.0)}
-    # the sum's entries: (lo, hi, C, quarter) in each cached binade, where
-    # quarter is a quarter of the spacing at the rounded partial sum: below
-    # 2^emin, flushed or not, that of r_min's binade; zeros from the top one up
-    entries = format_params("fp16").frexp_sum_entries
-    assert entries[math.frexp(1.0)[1]] == (1.0, 2.0, math.ldexp(1.5, 1 - 11 + 52), 2.0**-12)
-    assert {entries[e][3] for e in range(-1073, -13)} == {2.0**-26}
-    assert set(entries[16:1025]) == {(0.0, 0.0, 0.0, 0.0)}
-    entries = format_params("bfloat16").frexp_sum_entries
-    assert {entries[e][2:] for e in range(-1073, -126)} == {(math.ldexp(1.5, -126 + 52), 2.0**-135)}
-    assert {entry[3] for entry in format_params("fp64").frexp_sum_entries} == {0.0}
+        assert {entry[1] for entry in entries[last + 1:fmt.emax + 2]} == {math.ldexp(1.5, 1023)}
+        assert {entry[:2] for entry in entries[fmt.emax + 2:1025]} <= {(1.0, 0.0)}
+        # the sum caches no prescaled binade
+        assert {entry[2:] for entry in entries[last + 1:1025]} == {(0.0, 0.0, 0.0)}
+    assert {entry[:2] for entry in format_params("fp64").frexp_entries} == {(1.0, 0.0)}
+    # the sum's (lo, hi, quarter) in each cached binade, where quarter is a
+    # quarter of the spacing at the rounded partial sum: below 2^emin,
+    # flushed or not, that of r_min's binade; zeros from the top one up,
+    # where C is the binade's own (0.0 above the top one)
+    entries = format_params("fp16").frexp_entries
+    assert entries[math.frexp(1.0)[1]] == (1.0, math.ldexp(1.5, 1 - 11 + 52), 1.0, 2.0, 2.0**-12)
+    assert {entries[e][4] for e in range(-1073, -13)} == {2.0**-26}
+    assert entries[16] == (1.0, math.ldexp(1.5, 16 - 11 + 52), 0.0, 0.0, 0.0)
+    assert set(entries[17:1025]) == {(1.0, 0.0, 0.0, 0.0, 0.0)}
+    entries = format_params("bfloat16").frexp_entries
+    assert {(entries[e][1], entries[e][4]) for e in range(-1073, -126)} == {(math.ldexp(1.5, -126 + 52), 2.0**-135)}
+    assert {entry[4] for entry in format_params("fp64").frexp_entries} == {0.0}
 
     # every binade, the top one and the prescaled ones included, rounds by
     # the table and an overflow test, never by chop: zeros, values that round
@@ -614,6 +619,25 @@ def test_sum_deviations_uncertified_formats_take_fsum(monkeypatch, fmt_name, row
     # is inf, and so its sum
     assert calls == [len(filled)] * len(g)
     assert len(filled) == (2 if fmt.emax == 20 else 3)
+
+
+def test_sum_deviations_fp64_rows_take_fsum(monkeypatch):
+    # binary64 has L = 54 - 53 - ceil(log2 n) < 1 for every n > 1: no band is
+    # exact, and each finite row takes math.fsum.  t = 26 reaches L < 1 only
+    # for n > 2^27, which stays untested
+    fmt = precision.format_params("fp64")
+    row = [1.0, 2.0**-53, 2.0**-53]
+    left_to_right = 0.0
+    for v in row:
+        left_to_right += v
+    assert left_to_right == 1.0 != math.fsum(row)  # the plain sum rounds
+    g = np.array([row, row[::-1], [1.0, math.inf, 2.0**-53], [0.5, 0.25, 0.25]])
+    assert _band_width(fmt, g.shape[1]) < 1
+    want = _fsum_deviations(g, fmt.unit_roundoff)
+    assert want.tolist() == [2.0, 2.0, math.inf, 0.0]
+    calls = _count_fsum_calls(monkeypatch)
+    assert _sum_deviations(g, fmt).tobytes() == want.tobytes()
+    assert calls == [3, 3, 3]  # one fsum per finite row
 
 
 BAND_FORMATS = ["bfloat16", "fp32", T4 + "1", T4 + "0", "custom:t=26,emin=-1000,emax=1023,subnormals=0",
